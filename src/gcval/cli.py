@@ -242,7 +242,7 @@ def cmd_verify(args) -> int:
         _emit({"warning": "0 entries", "entries": [],
                "summary": {"entries": 0, "failures": 0, "exitCode": 0}})
         return EXIT_OK
-    report = verify_corpus(entries, n_max=_check_n_max(args.n_max), jobs=args.jobs)
+    report = verify_corpus(entries, n_max=_check_n_max(args.n_max))
     _emit(report.to_json())
     return report.exit_code
 
@@ -263,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prime", type=int, required=True)
         if with_nmax:
             p.add_argument("--n-max", type=int, default=40, dest="n_max")
-        p.add_argument("--json", action="store_true", default=True,
-                       help=argparse.SUPPRESS)  # output is always JSON
 
     p = sub.add_parser("profile", help="Tate data and the point's reduction profile")
     common(p, point_required=False)
@@ -298,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="JSON-lines corpus path "
                    "(default: the bundled corpus)")
     p.add_argument("--n-max", type=int, default=40, dest="n_max")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true", default=True,
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -14,7 +14,6 @@ covers.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .curve_core import Point, WeierstrassModel, mul, on_curve
@@ -161,15 +160,23 @@ class EntryReport:
         return out
 
 
-def _structural_checks(report: EntryReport, tate, prof, p: int) -> None:
-    """Per-entry identity suite; failures are appended to the report."""
+#: largest psi index the structural checks read (psi_{m+n} with m, n <= 12)
+_STRUCTURAL_INDEX = 24
+
+
+def _structural_checks(report: EntryReport, tate, prof, p: int, seq):
+    """Per-entry identity suite; failures are appended to the report.
+
+    ``seq`` is the oracle's table on the minimal model, built to index 24
+    or beyond.  Returns the unit-exponent scan on good reduction (else
+    None), so that the staircase parameters need not run it again.
+    """
     model = tate.minimal_model
     pt = prof.point
 
     def fail(name, detail=""):
         report.check_failures.append(f"{name}{': ' + detail if detail else ''}")
 
-    seq = psi_sequence(model, pt, 24)
     # x([n]P) psi_n^2 = phi_n for n <= 20
     for n in range(1, 21):
         q = mul(model, n, pt)
@@ -244,27 +251,29 @@ def _structural_checks(report: EntryReport, tate, prof, p: int) -> None:
         scan = unit_exponent_scan(model, p)
         if scan.b not in (p, p * p):
             fail("good-reduction-b", f"b={scan.b}")
+        return scan
+    return None
 
 
-def _prediction_checks(report: EntryReport, tate, prof, n_max: int) -> None:
-    p = tate.p
+def _prediction_checks(report: EntryReport, tate, prof, rows, scan) -> None:
+    """Compare the per-factor predictions with the oracle's valuations.
+
+    ``rows`` are k_direct_range's (n, k, v_phi, v_psi_sq) for n = 1..n_max.
+    """
     supported = (not prof.singular) or tate.reduction == "multiplicative"
     if not supported:
         return
-    params = default_staircase_params(prof)
-    seq = psi_sequence(tate.minimal_model, prof.point, n_max)
-    for n in range(1, n_max + 1):
-        psi = seq.psi(n)
-        want = val(psi, p) if psi != 0 else INFINITY
+    params = default_staircase_params(prof, scan)
+    for (n, _k, _vphi, vpsi_sq) in rows:
+        want = vpsi_sq if vpsi_sq == INFINITY else vpsi_sq // 2
         got = predict_psi_val(prof, params, n)
         if got != want:
             report.check_failures.append(
                 f"psi-prediction: n={n} predicted={got} actual={want}")
-    for n in range(1, n_max + 1):
+    for (n, _k, want, _vpsi_sq) in rows:
         got = predict_phi_val(prof, n)
         if got is None:
             continue
-        want = val(seq.phi(n), p)
         if got != want:
             report.check_failures.append(
                 f"phi-prediction: n={n} predicted={got} actual={want}")
@@ -308,16 +317,20 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
         report.v_delta = tate.v_delta
         report.n_checked = n_max
 
-        for (n, k, _vphi, _vpsi) in k_direct_range(
-                tate.minimal_model, prof.point, entry.prime, n_max):
+        # one oracle table serves k_direct_range and the structural checks
+        seq = psi_sequence(tate.minimal_model, prof.point,
+                           max(n_max, _STRUCTURAL_INDEX))
+        rows = k_direct_range(tate.minimal_model, prof.point, entry.prime,
+                              n_max, seq=seq)
+        for (n, k, _vphi, _vpsi) in rows:
             kf = k_formula(prof, n)
             if kf != k:
                 report.mismatches.append(
                     {"n": n, "kFormula": kf, "kDirect": val_to_json(k)})
         if prof.singular:
             table_decomposition(prof)  # raises InternalError on inconsistency
-        _structural_checks(report, tate, prof, entry.prime)
-        _prediction_checks(report, tate, prof, n_max)
+        scan = _structural_checks(report, tate, prof, entry.prime, seq)
+        _prediction_checks(report, tate, prof, rows, scan)
         _check_expect(report, entry, tate, prof, row)
     except ToolkitError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
@@ -353,13 +366,9 @@ class VerificationReport:
         }
 
 
-def verify_corpus(entries, n_max: int = 40, jobs: int = 1) -> VerificationReport:
+def verify_corpus(entries, n_max: int = 40) -> VerificationReport:
     """Verify every entry; aggregation is deterministic in file order."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda e: verify_entry(e, n_max), entries))
-    else:
-        reports = [verify_entry(e, n_max) for e in entries]
+    reports = [verify_entry(e, n_max) for e in entries]
     seen = {r.row for r in reports if r.row}
     covered = [row for row in REQUIRED_ROWS if row in seen]
     uncovered = [row for row in REQUIRED_ROWS if row not in seen]

@@ -28,7 +28,12 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .exact_numbers import INFINITY, Valuation, val
-from .formal_group import StaircaseParams, staircase_params, unit_exponent_scan
+from .formal_group import (
+    StaircaseParams,
+    UnitExponentScan,
+    staircase_params,
+    unit_exponent_scan,
+)
 from .profile import ReductionProfile
 from .sequences import r_n, s_n
 
@@ -116,13 +121,18 @@ def k_direct(model: WeierstrassModel, point: Point, p: int, n: int,
 
 
 def k_direct_range(model: WeierstrassModel, point: Point, p: int, n_max: int,
-                   check_order: bool = True):
-    """[(n, k, v_phi, v_psi_sq)] for n = 1..n_max, sharing one table."""
+                   check_order: bool = True,
+                   seq: DivPolySequence | None = None):
+    """[(n, k, v_phi, v_psi_sq)] for n = 1..n_max, sharing one table.
+
+    ``seq`` may be a table for this model and point built to n_max or
+    beyond.
+    """
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
     if check_order:
         assert_infinite_order(model, point)
-    seq = psi_sequence(model, point, n_max)
+    seq = seq or psi_sequence(model, point, n_max)
     out = []
     for n in range(1, n_max + 1):
         v_phi = val(seq.phi(n), p)
@@ -237,18 +247,20 @@ def table_decomposition(profile: ReductionProfile) -> TheoremPrediction:
     return pred
 
 
-def default_staircase_params(profile: ReductionProfile) -> StaircaseParams:
+def default_staircase_params(profile: ReductionProfile,
+                             scan: UnitExponentScan | None = None) -> StaircaseParams:
     """The staircase parameters the per-factor predictions call for.
 
     Non-singular points read (b, h) off the multiplication-by-p series of
-    the minimal model; singular points on multiplicative reduction use the
-    prescribed (b, h) = (p, 0).
+    the minimal model (``scan``, when the caller has already run
+    unit_exponent_scan on it); singular points on multiplicative reduction
+    use the prescribed (b, h) = (p, 0).
     """
     t = profile.tate
     if profile.singular and t.reduction == "multiplicative":
         b, h = t.p, 0
     elif not profile.singular:
-        scan = unit_exponent_scan(t.minimal_model, t.p)
+        scan = scan or unit_exponent_scan(t.minimal_model, t.p)
         b, h = scan.b, scan.h
     else:
         raise UnsupportedCaseError(

@@ -4,10 +4,19 @@ All field arithmetic in this package happens in Q via fractions.Fraction,
 which already guarantees lowest terms and a positive denominator.  This
 module adds the p-adic valuation (with a distinguished infinity for the
 valuation of 0) and the string forms used in corpus files and CLI output.
+
+The valuation is the hot path of the division-polynomial oracle, where
+v(psi_n) and v(phi_n) reach the thousands.  It climbs a squaring ladder:
+divide by p, p^2, p^4, ... while the division is exact, then by the same
+powers from the top down.  That is O(log v) big-integer divisions instead
+of the v single-factor divisions of stripping p one at a time, each of
+which costs time linear in the operand's size.  For p = 2 the exponent is
+read off the lowest set bit.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -59,6 +68,35 @@ def check_prime(p) -> int:
     return p
 
 
+def _exponent(n: int, p: int) -> int:
+    """Exponent of the prime p in the non-zero integer n.
+
+    Climbs a squaring ladder: divides by p, p^2, p^4, ... while the
+    division is exact, then by the same powers from the top down, so a
+    valuation v costs O(log v) big-integer divisions.
+    """
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    powers = []
+    pk = p
+    while True:
+        q, r = divmod(n, pk)
+        if r:
+            break
+        n = q
+        powers.append(pk)
+        pk *= pk
+    # the climb removed p^(2^k - 1) with k = len(powers), and the remaining
+    # valuation is below 2^k, so one greedy pass down the powers ends it
+    v = (1 << len(powers)) - 1
+    for k in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n = q
+            v += 1 << k
+    return v
+
+
 def val(q, p: int) -> Valuation:
     """Exponent of the prime p in the rational q; INFINITY iff q == 0.
 
@@ -70,17 +108,10 @@ def val(q, p: int) -> Valuation:
     q = Fraction(q)
     if q == 0:
         return INFINITY
-    num, den = q.numerator, q.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
+    v = _exponent(q.numerator, p)
     if v:
         return v  # q is in lowest terms, so p cannot also divide den
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return -_exponent(q.denominator, p)
 
 
 def int_val(q, p: int) -> int:
@@ -102,8 +133,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q) -> str:
-    """Canonical 'num/den' or 'num' form (lowest terms, positive denominator)."""
-    return str(Fraction(q))
+    """Canonical 'num/den' or 'num' form (lowest terms, positive denominator).
+
+    The digits go through Decimal, which CPython's limit on int-to-str
+    conversion (4300 digits by default) does not cover, so psi_n and phi_n
+    print in full up to the n_max guardrail.  The limit still guards
+    parse_rational.
+    """
+    q = Fraction(q)
+    num = str(Decimal(q.numerator))
+    if q.denominator == 1:
+        return num
+    return f"{num}/{Decimal(q.denominator)}"
 
 
 def val_to_json(v: Valuation):

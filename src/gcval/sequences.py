@@ -11,7 +11,7 @@ read off the formal group; it governs growth along p-power indices.
 from __future__ import annotations
 
 from .errors import InputError, InternalError
-from .exact_numbers import INFINITY, Valuation
+from .exact_numbers import INFINITY, Valuation, int_val
 
 
 def r_n(a: int, modulus: int, n: int) -> int:
@@ -39,11 +39,7 @@ def s_n(params, p: int, m: int) -> Valuation:
     """
     if m < 1:
         raise InputError(f"staircase index must be >= 1, got {m}")
-    v = 0
-    mm = m
-    while mm % p == 0:
-        mm //= p
-        v += 1
+    v = int_val(m, p)
 
     b, e, h, j, s, w = params.b, params.e, params.h, params.j, params.s, params.w
 

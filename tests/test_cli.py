@@ -1,9 +1,12 @@
 import json
+from decimal import Decimal
 
 import pytest
 
 from gcval.cli import main
 from gcval.corpus import CorpusParseError, load_corpus
+from gcval.curve_core import Point, WeierstrassModel
+from gcval.divpoly import psi_sequence
 
 from tests.conftest import CORPUS_PATH
 
@@ -96,6 +99,18 @@ def test_psi_output(capsys):
     assert code == 0
     assert [line["psi"] for line in lines] == ["1", "6", "72"]
     assert lines[1]["vPsi"] == 1
+
+
+def test_psi_prints_values_past_the_int_str_limit(capsys):
+    # psi_200 has about 22.6k digits and phi_200 twice that, beyond
+    # CPython's default limit of 4300 digits for int-to-str conversion
+    code, lines = run_cli(capsys, "psi", "--curve", "1,0,0,0,-243",
+                          "--point", "9,18", "--prime", "3", "--n-max", "200")
+    assert code == 0
+    assert len(lines) == 200
+    seq = psi_sequence(WeierstrassModel(1, 0, 0, 0, -243), Point(9, 18), 200)
+    assert int(Decimal(lines[-1]["psi"])) == seq.psi(200)
+    assert int(Decimal(lines[-1]["phi"])) == seq.phi(200)
 
 
 def test_formal_group_output(capsys):

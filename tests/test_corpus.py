@@ -6,7 +6,6 @@ from gcval.corpus import (
     CorpusParseError,
     entry_to_json,
     load_corpus,
-    verify_corpus,
     verify_entry,
 )
 from gcval.curve_core import on_curve
@@ -55,12 +54,6 @@ def test_verify_entry_reports_mismatch_on_corrupted_profile(corpus_entries):
         expect=dict(base.expect, cv=base.expect["cv"] + 1), flags=base.flags)
     report = verify_entry(bad, n_max=4)
     assert not report.ok and not report.expect_ok
-
-
-def test_verify_corpus_parallel_matches_serial(corpus_entries):
-    serial = verify_corpus(corpus_entries[:4], n_max=4, jobs=1)
-    parallel = verify_corpus(corpus_entries[:4], n_max=4, jobs=4)
-    assert json.dumps(serial.to_json()) == json.dumps(parallel.to_json())
 
 
 def test_split_im_pairs_required_by_coverage(corpus_entries):

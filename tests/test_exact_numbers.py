@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcval.errors import NonPrimeError
@@ -64,6 +64,47 @@ def test_val_ultrametric(q1, q2, p):
     assert lhs >= lo
     if val(q1, p) != val(q2, p):
         assert lhs == lo
+
+
+def _val_by_strip(q, p):
+    """Reference: the valuation by stripping one factor of p per loop."""
+    q = Fraction(q)
+    if q == 0:
+        return INFINITY
+    num, den = q.numerator, q.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    if v:
+        return v
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 9973]),
+       k=st.integers(min_value=0, max_value=5000),
+       u=st.integers(min_value=1, max_value=10 ** 40),
+       d=st.integers(min_value=1, max_value=10 ** 20),
+       sign=st.sampled_from([1, -1]),
+       in_denominator=st.booleans())
+# exact powers at the ladder's rungs, 2^j - 1 and 2^j
+@example(p=3, k=1023, u=1, d=1, sign=1, in_denominator=False)
+@example(p=3, k=1024, u=2, d=1, sign=-1, in_denominator=False)
+@example(p=5, k=255, u=1, d=1, sign=1, in_denominator=True)
+@example(p=9973, k=4096, u=9972, d=1, sign=1, in_denominator=False)
+@example(p=2, k=4096, u=1, d=3, sign=-1, in_denominator=True)
+def test_val_matches_strip_on_deep_valuations(p, k, u, d, sign, in_denominator):
+    # the squaring ladder against the one-factor strip, at valuations far
+    # beyond what the hand values and the product/sum laws above reach
+    if in_denominator:
+        q = Fraction(sign * u, p ** k * d)
+    else:
+        q = Fraction(sign * p ** k * u, d)
+    assert val(q, p) == _val_by_strip(q, p)
 
 
 @given(q=rationals)
