@@ -5,7 +5,13 @@ JSON (objects or JSON lines) with a fixed field order, no timestamps, so
 identical inputs give byte-identical reports.
 
 Exit codes: 0 success, 1 verification mismatch, 2 malformed input,
-3 precondition violation (torsion point, singular curve, non-prime).
+3 precondition violation (torsion point, singular curve, non-prime),
+4 internal failure (a failed consistency check, an unsupported case, an
+exceeded budget, or any other exception), reported as one line on stderr.
+
+``seq --sn B E H S W P N`` takes B = 1 or a positive multiple of P,
+E >= 1, H >= 0, S >= 1, W >= 0 (H = W = 0 when B = 1) and N >= 1, else
+exit 2; a non-prime P exits 3.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .corpus import load_corpus, verify_corpus
 from .curve_core import (
     Point,
     WeierstrassModel,
+    assert_infinite_order,
     integralize_at,
     map_point,
     require_on_curve,
@@ -31,7 +38,7 @@ from .engine import (
     row_is_flagged,
     table_decomposition,
 )
-from .errors import InputError, PreconditionError, ToolkitError, TorsionPointError
+from .errors import InputError, PreconditionError, TorsionPointError
 from .exact_numbers import (
     INFINITY,
     check_prime,
@@ -40,7 +47,7 @@ from .exact_numbers import (
     val,
     val_to_json,
 )
-from .formal_group import StaircaseParams, mult_by_m_series
+from .formal_group import StaircaseParams, mult_by_m_series, staircase_j
 from .profile import compute_profile, point_is_singular
 from .sequences import r_n, s_n
 from .tate import run_tate
@@ -49,6 +56,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 #: digit counts grow quadratically in n, so refuse unbounded sweeps
 N_MAX_GUARDRAIL = 200
@@ -158,7 +166,8 @@ def cmd_kval(args) -> int:
     prof = compute_profile(tate, point) if mode in ("formula", "both") else None
     direct = None
     if mode in ("direct", "both"):
-        pt = prof.point if prof else map_point(tate.to_minimal, point)
+        pt = prof.point if prof else assert_infinite_order(
+            tate.minimal_model, map_point(tate.to_minimal, point))
         direct = {n: (k, vphi, vpsi)
                   for n, k, vphi, vpsi in k_direct_range(
                       tate.minimal_model, pt, args.prime, n_max)}
@@ -220,10 +229,14 @@ def cmd_seq(args) -> int:
         return EXIT_OK
     b, e, h, s, w, p, n = args.sn
     check_prime(p)
-    j = 0
-    if b > 1:
-        while e > b ** j * ((b - 1) * s + h):
-            j += 1
+    if not (b == 1 or (b > 0 and b % p == 0)):
+        raise InputError(f"--sn: B must be 1 or a positive multiple of P, got {b}")
+    if e < 1 or s < 1 or h < 0 or w < 0:
+        raise InputError(f"--sn: needs E >= 1, S >= 1, H >= 0 and W >= 0, "
+                         f"got E={e} S={s} H={h} W={w}")
+    if b == 1 and (h, w) != (0, 0):
+        raise InputError(f"--sn: B = 1 needs H = W = 0, got H={h} W={w}")
+    j = staircase_j(b, e, h, s)
     params = StaircaseParams(b, e, h, j, s, w).validate(p)
     value = s_n(params, p, n)
     _emit({"sN": val_to_json(value) if value == INFINITY else int(value),
@@ -317,9 +330,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ToolkitError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    except Exception as exc:
+        # a bug, not a mismatch: one line and no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError, SingularCurveError, TorsionPointError
-from .exact_numbers import Rational, format_rational, parse_rational
+from .exact_numbers import Rational, format_rational, parse_rational, val
 
 
 def as_rational(x) -> Fraction:
@@ -79,9 +79,7 @@ def derive(model: WeierstrassModel) -> DerivedQuantities:
     b2, b4, b6, b8 = model.b_quantities()
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
-    delta = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    if delta == 0:
-        raise SingularCurveError("zero discriminant")
+    delta = model.discriminant()  # non-zero: the model's constructor checks it
     j = c4 ** 3 / delta
     if 4 * b8 != b2 * b6 - b4 * b4:
         raise InternalError("4*b8 != b2*b6 - b4^2")
@@ -216,6 +214,11 @@ def neg(model: WeierstrassModel, point: Point) -> Point:
 def add(model: WeierstrassModel, p1: Point, p2: Point) -> Point:
     require_on_curve(model, p1)
     require_on_curve(model, p2)
+    return _add(model, p1, p2)
+
+
+def _add(model: WeierstrassModel, p1: Point, p2: Point) -> Point:
+    """P1 + P2 for points the caller has already checked to be on the curve."""
     if p1.is_infinity:
         return p2
     if p2.is_infinity:
@@ -249,10 +252,10 @@ def mul(model: WeierstrassModel, n: int, point: Point) -> Point:
     acc = point
     while n:
         if n & 1:
-            result = add(model, result, acc)
+            result = _add(model, result, acc)
         n >>= 1
         if n:
-            acc = add(model, acc, acc)
+            acc = _add(model, acc, acc)
     return result
 
 
@@ -263,13 +266,14 @@ TORSION_GUARD_BOUND = 16
 
 def assert_infinite_order(model: WeierstrassModel, point: Point,
                           bound: int = TORSION_GUARD_BOUND) -> Point:
+    require_on_curve(model, point)
     if point.is_infinity:
         raise TorsionPointError("the point at infinity is torsion")
     acc = point
     for n in range(1, bound + 1):
         if acc.is_infinity:
             raise TorsionPointError(f"[{n}]{point} = O: torsion point")
-        acc = add(model, acc, point)
+        acc = _add(model, acc, point)
     return point
 
 
@@ -279,8 +283,6 @@ def integralize_at(model: WeierstrassModel, p: int):
     Returns (new_model, change).  This is the 'clear denominators first'
     step that the Tate runner requires of its callers.
     """
-    from .exact_numbers import val  # local import keeps module deps one-way
-
     k = 0
     for i, a in zip((1, 2, 3, 4, 6), model.coefficients()):
         if a != 0:

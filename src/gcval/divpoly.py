@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curve_core import Point, WeierstrassModel, derive, mul, require_on_curve
+from .curve_core import Point, WeierstrassModel, derive, require_on_curve
 from .errors import InputError, InternalError, TwoTorsionError
 from .exact_numbers import Rational
 
@@ -114,21 +114,3 @@ def psi_sequence(model: WeierstrassModel, point: Point, n_max: int) -> DivPolySe
 
     return DivPolySequence(model, point, n_max, psi, phi)
 
-
-def psi_at(model: WeierstrassModel, point: Point, n: int) -> Rational:
-    return psi_sequence(model, point, max(n, 1)).psi(n)
-
-
-def phi_at(model: WeierstrassModel, point: Point, n: int) -> Rational:
-    """phi_n(P); satisfies x([n]P) = phi_n/psi_n^2 whenever [n]P is affine."""
-    return psi_sequence(model, point, max(n, 1)).phi(n)
-
-
-def multiple_x_matches(model: WeierstrassModel, point: Point, n: int,
-                       seq: DivPolySequence | None = None) -> bool:
-    """Check x([n]P) * psi_n^2(P) == phi_n(P) via the group law."""
-    seq = seq or psi_sequence(model, point, n)
-    q = mul(model, n, point)
-    if q.is_infinity:
-        return seq.psi(n) == 0
-    return q.x * seq.psi_squared(n) == seq.phi(n)

@@ -2,8 +2,9 @@
 
 Two independent routes are provided and must agree:
 
-* ``k_direct``  -- the ground-truth oracle: build the division-polynomial
-  values at the point and take the min of the two valuations;
+* ``k_direct_range`` -- the ground-truth oracle: build the
+  division-polynomial values at the point and take the min of the two
+  valuations, for n = 1..n_max;
 * ``k_formula`` -- the closed form, dispatched on the reduction profile
   (non-singular branch, multiplicative branch via r_n, additive branches
   via the psi_2^2 / psi_3 valuations).
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve_core import Point, WeierstrassModel, assert_infinite_order, mul
+from .curve_core import Point, WeierstrassModel, mul
 from .divpoly import DivPolySequence, psi_sequence
 from .errors import (
     InputError,
@@ -106,32 +107,16 @@ def row_is_flagged(row: str) -> bool:
     return row in FLAGGED_ROWS
 
 
-def k_direct(model: WeierstrassModel, point: Point, p: int, n: int,
-             seq: DivPolySequence | None = None,
-             check_order: bool = True) -> Valuation:
-    """min(v(phi_n(P)), v(psi_n^2(P))) computed from the actual values."""
-    if n < 1:
-        raise InputError(f"index must be >= 1, got {n}")
-    if check_order:
-        assert_infinite_order(model, point)
-    seq = seq or psi_sequence(model, point, n)
-    v_phi = val(seq.phi(n), p)
-    v_psi_sq = 2 * val(seq.psi(n), p) if seq.psi(n) != 0 else INFINITY
-    return min(v_phi, v_psi_sq)
-
-
 def k_direct_range(model: WeierstrassModel, point: Point, p: int, n_max: int,
-                   check_order: bool = True,
                    seq: DivPolySequence | None = None):
     """[(n, k, v_phi, v_psi_sq)] for n = 1..n_max, sharing one table.
 
     ``seq`` may be a table for this model and point built to n_max or
-    beyond.
+    beyond.  The point's infinite order is the caller's to assert
+    (compute_profile does it on the same minimal-model point).
     """
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
-    if check_order:
-        assert_infinite_order(model, point)
     seq = seq or psi_sequence(model, point, n_max)
     out = []
     for n in range(1, n_max + 1):
@@ -276,25 +261,21 @@ def predict_psi_val(profile: ReductionProfile, params: StaircaseParams,
     t = profile.tate
     if not profile.singular:
         if profile.v_x >= 0:
-            base = 0
+            head = 0
         else:
             vx = int(profile.v_x)
             if vx % 2:
                 raise InternalError("negative v(x) must be even on a minimal model")
-            base = vx // 2
-        tail = s_n(params, t.p, n // profile.n_p) if n % profile.n_p == 0 else 0
-        if tail == INFINITY:
-            return INFINITY
-        return base * n * n + tail
-    if t.reduction == "multiplicative":
-        m = t.v_delta
-        head = r_n(profile.a_p, m, n)
-        tail = s_n(params, t.p, n // profile.n_p) if n % profile.n_p == 0 else 0
-        if tail == INFINITY:
-            return INFINITY
-        return head + tail
-    raise UnsupportedCaseError(
-        "v(psi_n) is not predicted for singular points on additive reduction")
+            head = vx // 2 * n * n
+    elif t.reduction == "multiplicative":
+        head = r_n(profile.a_p, t.v_delta, n)
+    else:
+        raise UnsupportedCaseError(
+            "v(psi_n) is not predicted for singular points on additive reduction")
+    tail = s_n(params, t.p, n // profile.n_p) if n % profile.n_p == 0 else 0
+    if tail == INFINITY:
+        return INFINITY
+    return head + tail
 
 
 def predict_phi_val(profile: ReductionProfile, n: int) -> Valuation | None:

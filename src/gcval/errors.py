@@ -1,8 +1,11 @@
 """Exception hierarchy.
 
-At the CLI boundary, InputError maps to exit code 2 (malformed input) and
+At the CLI boundary, InputError maps to exit code 2 (malformed input),
 PreconditionError to exit code 3 (well-formed input that violates a stated
-precondition: torsion point, singular curve, non-prime modulus).
+precondition: torsion point, singular curve, non-prime modulus), and
+InternalError, UnsupportedCaseError, ResourceBudgetError and any exception
+outside this hierarchy to exit code 4 (internal failure).  Exit code 1 is
+kept for a verification mismatch.
 """
 
 

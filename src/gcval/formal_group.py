@@ -44,10 +44,6 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", cs)
 
     @staticmethod
-    def zero(order: int) -> "TruncatedSeries":
-        return TruncatedSeries((), order)
-
-    @staticmethod
     def constant(c, order: int) -> "TruncatedSeries":
         return TruncatedSeries((Fraction(c),), order)
 
@@ -279,6 +275,18 @@ class StaircaseParams:
         return self
 
 
+def staircase_j(b: int, e: int, h: int, s: int) -> int:
+    """Smallest j >= 0 with e <= b^j ((b-1) s + h), and 0 for b = 1.
+
+    Terminates for b >= 1, s >= 1 and h >= 0; callers check those first.
+    """
+    j = 0
+    if b > 1:
+        while e > b ** j * ((b - 1) * s + h):
+            j += 1
+    return j
+
+
 _MULTIPLE_BUDGET = 10 ** 6
 
 
@@ -308,9 +316,7 @@ def staircase_params(model: WeierstrassModel, point: Point, p: int, n_p: int,
     s = int(s)
     if b == 1:
         return StaircaseParams(1, e, 0, 0, s, 0).validate(p)
-    j = 0
-    while e > b ** j * ((b - 1) * s + h):
-        j += 1
+    j = staircase_j(b, e, h, s)
     w: Valuation = 0
     if e == b ** j * ((b - 1) * s + h):
         if p ** (j + 1) * n_p > _MULTIPLE_BUDGET:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .curve_core import (
     Point,
     WeierstrassModel,
+    _add,
     add,
     assert_infinite_order,
     map_point,
@@ -41,10 +42,6 @@ class ReductionProfile:
     v_phi2: Valuation
     v_x: Valuation            # v(x(P)) on the minimal model
 
-    @property
-    def p(self) -> int:
-        return self.tate.p
-
 
 def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     """True iff the point reduces to the singular locus of the reduced curve.
@@ -67,30 +64,22 @@ def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     return val(fx, p) >= 1 and val(fy, p) >= 1
 
 
-def is_singular(tate: TateResult, point: Point) -> bool:
-    """Singularity of a point given on the minimal model."""
-    return point_is_singular(tate.minimal_model, point, tate.p)
-
-
-def _search_multiple(model, point, p, predicate, cap, what):
+def _search_multiple(model, point, predicate, cap, what):
     acc = point
     for n in range(1, cap + 1):
         if predicate(acc):
             return n
-        acc = add(model, acc, point)
+        acc = _add(model, acc, point)
     raise InternalError(f"{what} search exceeded its cap of {cap}")
 
 
-def compute_profile(tate: TateResult, point: Point, p: int | None = None) -> ReductionProfile:
+def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     """Profile of an infinite-order point given on the *input* model."""
-    p = tate.p if p is None else p
-    if p != tate.p:
-        raise InternalError("profile prime disagrees with the Tate run")
+    p = tate.p
     require_on_curve(tate.input_model, point)
     minimal = tate.minimal_model
     pt = map_point(tate.to_minimal, point)
-    require_on_curve(minimal, pt)
-    assert_infinite_order(minimal, pt)
+    assert_infinite_order(minimal, pt)  # also checks pt is on the minimal model
 
     singular = point_is_singular(minimal, pt, p)
     v_x = val(pt.x, p)
@@ -99,14 +88,14 @@ def compute_profile(tate: TateResult, point: Point, p: int | None = None) -> Red
     # |E~_ns(F_p)| <= p + 1 + 2*sqrt(p).
     n_cap = (p + 1 + 2 * math.isqrt(p) + 2 + 1) * tate.cv
     n_p = _search_multiple(
-        minimal, pt, p, lambda q: (not q.is_infinity) and val(q.x, p) < 0,
+        minimal, pt, lambda q: (not q.is_infinity) and val(q.x, p) < 0,
         n_cap, "n_P")
 
     # m_P: order of the image in the component group.
     m_for_cap = tate.kodaira.m if tate.kodaira.series == "I" else 0
     m_cap = max(tate.cv, m_for_cap) + 1
     m_p = _search_multiple(
-        minimal, pt, p, lambda q: not point_is_singular(minimal, q, p),
+        minimal, pt, lambda q: not point_is_singular(minimal, q, p),
         m_cap, "m_P")
     if singular != (m_p > 1):
         raise InternalError("m_P disagrees with the singularity flag")

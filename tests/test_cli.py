@@ -7,6 +7,7 @@ from gcval.cli import main
 from gcval.corpus import CorpusParseError, load_corpus
 from gcval.curve_core import Point, WeierstrassModel
 from gcval.divpoly import psi_sequence
+from gcval.errors import InternalError
 
 from tests.conftest import CORPUS_PATH
 
@@ -85,6 +86,23 @@ def test_kval_mismatch_gives_exit_1(capsys, monkeypatch):
     assert [line["match"] for line in lines] == [True, False, True]
 
 
+@pytest.mark.parametrize("exc", [InternalError("broken invariant"),
+                                 ValueError("not a toolkit error")])
+def test_internal_failure_gives_exit_4(capsys, monkeypatch, exc):
+    # a crash must not read as a mismatch (1) or escape as a traceback
+    import gcval.cli as cli_mod
+
+    def broken(prof, n):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "k_formula", broken)
+    code = main(["kval", "--curve", "1,0,0,0,-75", "--point", "5,5",
+                 "--prime", "5", "--n-max", "3"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
 def test_kval_formula_only(capsys):
     code, lines = run_cli(capsys, "kval", "--curve", "0,0,0,5,-125",
                           "--point", "5,5", "--prime", "5",
@@ -127,6 +145,16 @@ def test_seq_rn_and_sn(capsys):
     assert code == 0 and lines[0]["sN"] == 5
 
 
+@pytest.mark.parametrize("sn", [
+    "2 1 0 -1 0 2 1",   # S < 1: the j search would never end
+    "0 1 0 1 0 5 1",    # B is neither 1 nor a positive multiple of P
+    "3 1 0 1 0 2 1",
+])
+def test_seq_sn_out_of_range_exits_2(capsys, sn):
+    assert main(["seq", "--sn", *sn.split()]) == 2
+    assert capsys.readouterr().err.startswith("error: --sn: ")
+
+
 def test_exit_2_on_malformed_input(capsys):
     assert main(["profile", "--curve", "0,0,0,0", "--prime", "5"]) == 2
     assert main(["kval", "--curve", "0,0,0,0,1", "--point", "1,1",
@@ -145,9 +173,11 @@ def test_exit_3_on_preconditions(capsys):
     assert main(["profile", "--curve", "0,0,0,0,1", "--prime", "6"]) == 3
     # singular curve
     assert main(["profile", "--curve", "1,0,0,0,0", "--prime", "5"]) == 3
-    # torsion point
-    assert main(["kval", "--curve", "0,0,0,0,1", "--point", "2,3",
-                 "--prime", "5", "--n-max", "2"]) == 3
+    # torsion point, in every mode: --mode direct builds no profile, so
+    # the CLI asserts infinite order itself there
+    for mode in ("formula", "direct", "both"):
+        assert main(["kval", "--curve", "0,0,0,0,1", "--point", "2,3",
+                     "--prime", "5", "--n-max", "2", "--mode", mode]) == 3
 
 
 def test_verify_bundled_corpus_exits_zero(capsys):

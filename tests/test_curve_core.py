@@ -18,7 +18,10 @@ from gcval.curve_core import (
     neg,
     on_curve,
 )
+from gcval.divpoly import psi_sequence
 from gcval.errors import InputError, SingularCurveError, TorsionPointError
+from gcval.profile import compute_profile
+from gcval.tate import run_tate
 
 E_MORDELL = WeierstrassModel(0, 0, 0, 0, 1)   # y^2 = x^3 + 1
 E37 = WeierstrassModel(0, 0, 1, -1, 0)        # rank 1, generator (0, 0)
@@ -110,9 +113,17 @@ def test_negation_formula():
     assert add(E37, p, q).is_infinity
 
 
-def test_off_curve_rejected():
+@pytest.mark.parametrize("call", [
+    lambda off: add(E37, off, Point(0, 0)),
+    lambda off: mul(E37, 3, off),
+    lambda off: assert_infinite_order(E37, off),
+    lambda off: psi_sequence(E37, off, 4),
+    lambda off: compute_profile(run_tate(E37, 5), off),
+], ids=["add", "mul", "assert_infinite_order", "psi_sequence", "compute_profile"])
+def test_off_curve_rejected(call):
+    # each public entry point checks curve membership once, on entry
     with pytest.raises(InputError):
-        add(E37, Point(1, 1), Point(0, 0))
+        call(Point(1, 1))
 
 
 def test_group_law_small_multiples_37a():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcval.curve_core import Point, WeierstrassModel
+from gcval.curve_core import Point, WeierstrassModel, assert_infinite_order
 from gcval.divpoly import psi_sequence
 from gcval.engine import (
     ROW_I2MSTAR_C4,
@@ -12,7 +12,6 @@ from gcval.engine import (
     ROW_NONSING_NEG,
     classify_row,
     default_staircase_params,
-    k_direct,
     k_direct_range,
     k_formula,
     predict_phi_val,
@@ -21,7 +20,7 @@ from gcval.engine import (
     table_decomposition,
 )
 from gcval.errors import InputError, PreconditionError, TorsionPointError
-from gcval.exact_numbers import val
+from gcval.exact_numbers import INFINITY, val
 from gcval.profile import compute_profile
 from gcval.tate import run_tate
 
@@ -34,16 +33,19 @@ def profile_of(a, pt, p):
 def test_k_direct_guard_and_raw_value():
     model = WeierstrassModel(0, 0, 0, 0, 1)
     torsion = Point(2, 3)
+    # the torsion guard is the caller's (compute_profile, or kval --mode direct)
     with pytest.raises(TorsionPointError):
-        k_direct(model, torsion, 2, 2)
-    # with the guard disabled: min(v(phi_2), v(psi_2^2)) = min(inf, 2) = 2
-    assert k_direct(model, torsion, 2, 2, check_order=False) == 2
+        assert_infinite_order(model, torsion)
+    # the oracle itself takes the raw values:
+    # min(v(phi_2), v(psi_2^2)) = min(inf, 2) = 2
+    assert k_direct_range(model, torsion, 2, 2)[1] == (2, 2, INFINITY, 2)
 
 
 def test_k_direct_n1():
     # phi_1 = x, psi_1 = 1
     prof = profile_of((0, 0, 1, -1, 0), (Fraction(1, 4), Fraction(-5, 8)), 2)
-    assert k_direct(prof.tate.minimal_model, prof.point, 2, 1) == -2
+    assert k_direct_range(prof.tate.minimal_model, prof.point, 2, 1) == [
+        (1, -2, -2, 0)]
 
 
 def test_k_formula_nonsingular():

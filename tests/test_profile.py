@@ -5,7 +5,7 @@ import pytest
 from gcval.curve_core import Point, WeierstrassModel, mul
 from gcval.errors import TorsionPointError
 from gcval.exact_numbers import INFINITY, val
-from gcval.profile import compute_profile, is_singular, point_is_singular
+from gcval.profile import compute_profile, point_is_singular
 from gcval.tate import run_tate
 
 
@@ -25,10 +25,10 @@ def test_singular_criterion_examples():
     assert not point_is_singular(e37, Point(0, 0), 5)
 
 
-def test_is_singular_takes_tate_result():
+def test_point_is_singular_on_minimal_model():
     tate = run_tate(WeierstrassModel(0, 0, 0, 5, -125), 5)
-    assert is_singular(tate, Point(5, 5))
-    assert not is_singular(tate, Point(54, -397))
+    assert point_is_singular(tate.minimal_model, Point(5, 5), tate.p)
+    assert not point_is_singular(tate.minimal_model, Point(54, -397), tate.p)
 
 
 def test_nonsingular_profiles():
