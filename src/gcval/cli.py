@@ -210,8 +210,9 @@ def cmd_psi(args) -> int:
 def cmd_formal_group(args) -> int:
     model = _parse_curve(args.curve)
     model, _ = _prepare(model, None, args.prime)
+    m = args.prime if args.m is None else args.m
     order = args.order if args.order else args.prime ** 2 + 1
-    series = mult_by_m_series(model, args.m, order)
+    series = mult_by_m_series(model, m, order)
     for i in range(1, order + 1):
         c = series.coefficient(i)
         _emit({
@@ -317,17 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "formal-group" and args.m is None:
-        args.m = args.prime
     try:
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

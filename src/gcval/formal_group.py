@@ -5,10 +5,14 @@ The local parameter is t = -x/y; with w = -1/y the curve becomes
     w = t^3 + a1 t w + a2 t^2 w + a3 w^2 + a4 t w^2 + a6 w^3,
 
 whose unique power-series solution w(t) = t^3 (1 + ...) is computed by a
-direct coefficient recurrence.  Formal addition is chord-and-tangent in the
-(t, w) chart; multiplication-by-m is iterated addition.  From the
-multiplication-by-p series we read the staircase parameters that control
-valuation growth along p-power multiples of a point.
+direct coefficient recurrence.  Integrating the invariant differential
+gives the formal logarithm, and Lagrange inversion gives its compositional
+inverse, the formal exponential.  Over Q they identify the formal group
+with the additive one, so [m]T = exp(m log T) and F(T1, T2) = exp(log T1 +
+log T2) hold exactly modulo any power of T (Silverman, The Arithmetic of
+Elliptic Curves, Ch. IV).  From the multiplication-by-p series we read the
+staircase parameters that control valuation growth along p-power multiples
+of a point.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .exact_numbers import INFINITY, Valuation, check_prime, val
 class TruncatedSeries:
     """A power series known exactly modulo t^(order+1).
 
-    coeffs[i] is the coefficient of t^i; len(coeffs) == order + 1.
+    coeffs[i] is the coefficient of t^i; len(coeffs) == order + 1.  Sums,
+    products and compositions are known to the smaller of the two orders.
     """
 
     coeffs: tuple
@@ -43,99 +48,46 @@ class TruncatedSeries:
         cs = cs + (Fraction(0),) * (self.order + 1 - len(cs))
         object.__setattr__(self, "coeffs", cs)
 
-    @staticmethod
-    def constant(c, order: int) -> "TruncatedSeries":
-        return TruncatedSeries((Fraction(c),), order)
-
-    @staticmethod
-    def identity(order: int) -> "TruncatedSeries":
-        return TruncatedSeries((Fraction(0), Fraction(1)), order)
-
     def coefficient(self, i: int) -> Fraction:
         if not 0 <= i <= self.order:
             raise InputError(f"coefficient t^{i} beyond truncation order {self.order}")
         return self.coeffs[i]
-
-    def valuation(self) -> int:
-        """Index of the first known nonzero coefficient; order+1 if none."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.order + 1
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise InternalError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1], order)
 
     def __add__(self, other):
         n = min(self.order, other.order)
         return TruncatedSeries(
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), n)
 
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), n)
-
-    def __neg__(self):
-        return TruncatedSeries(tuple(-a for a in self.coeffs), self.order)
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(tuple(c * a for a in self.coeffs), self.order)
-
     def __mul__(self, other):
-        # coefficient k is exact for k <= min(o1 + v2, o2 + v1)
-        v1, v2 = self.valuation(), other.valuation()
-        n = min(self.order + v2, other.order + v1)
+        n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a or i > n:
-                continue
-            hi = min(n - i, other.order)
-            for jj in range(hi + 1):
-                b = other.coeffs[jj]
-                if b:
-                    out[i + jj] += a * b
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            if a:
+                for j, b in enumerate(other.coeffs[: n + 1 - i]):
+                    if b:
+                        out[i + j] += a * b
         return TruncatedSeries(tuple(out), n)
 
-    def divide(self, other) -> "TruncatedSeries":
-        """Exact quotient in the series sense; needs v(self) >= v(other)."""
-        vb = other.valuation()
-        if vb > other.order:
-            raise InternalError("division by a series that is zero to its order")
-        if self.valuation() < vb:
-            raise InternalError("series quotient would have a pole")
-        n = min(self.order, other.order) - vb
-        a = list(self.coeffs[vb: vb + n + 1])
-        b = list(other.coeffs[vb: vb + n + 1])
-        inv0 = 1 / b[0]
-        q = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            acc = a[k]
-            for i in range(k):
-                acc -= q[i] * b[k - i]
-            q[k] = acc * inv0
-        return TruncatedSeries(tuple(q), n)
+    def inverse(self) -> "TruncatedSeries":
+        """1/self; needs a nonzero constant term."""
+        a = self.coeffs
+        if not a[0]:
+            raise InputError("a series with zero constant term has no inverse")
+        q = [1 / a[0]]
+        for k in range(1, self.order + 1):
+            q.append(-sum((a[i] * q[k - i] for i in range(1, k + 1)),
+                          Fraction(0)) * q[0])
+        return TruncatedSeries(tuple(q), self.order)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)); inner must have zero constant term."""
-        if inner.valuation() < 1:
-            raise InternalError("composition needs an inner series with v >= 1")
-        target = min(inner.order, (self.order + 1) * inner.valuation() - 1)
-        acc = TruncatedSeries.constant(self.coeffs[self.order], inner.order)
-        for i in range(self.order - 1, -1, -1):
-            acc = acc * inner + TruncatedSeries.constant(self.coeffs[i], inner.order)
-        if acc.order < target:
-            raise InternalError("composition lost more precision than budgeted")
-        return acc.truncate(target)
-
-    def derivative(self) -> "TruncatedSeries":
-        if self.order == 0:
-            raise InternalError("cannot differentiate an order-0 truncation")
-        return TruncatedSeries(
-            tuple(i * c for i, c in enumerate(self.coeffs))[1:], self.order - 1)
+        if inner.coeffs[0]:
+            raise InputError("composition needs an inner series with zero constant term")
+        n = min(self.order, inner.order)
+        acc = TruncatedSeries((self.coeffs[n],), n)
+        for c in reversed(self.coeffs[:n]):
+            acc = acc * inner + TruncatedSeries((c,), n)
+        return acc
 
 
 def curve_w_series(model: WeierstrassModel, order: int) -> TruncatedSeries:
@@ -157,44 +109,46 @@ def curve_w_series(model: WeierstrassModel, order: int) -> TruncatedSeries:
         if k >= 6:
             w2[k] = w2_at(k)
         A[k] = (a1 * A[k - 1] + a2 * A[k - 2] + a3 * w2[k]
-                + a4 * (w2[k - 1] if k >= 1 else 0) + a6 * w3_at(k))
+                + a4 * w2[k - 1] + a6 * w3_at(k))
     return TruncatedSeries(tuple(A), order)
 
 
-def _formal_negation(model, w_series, t3: TruncatedSeries) -> TruncatedSeries:
-    # i(t) = t / (-1 + a1 t + a3 w(t)), evaluated at t3
-    a1, a3 = model.a1, model.a3
-    w_at = w_series.compose(t3)
-    den = (TruncatedSeries.constant(-1, t3.order)
-           + t3.scale(a1) + w_at.scale(a3))
-    return t3.divide(den)
+def formal_log(model: WeierstrassModel, order: int) -> TruncatedSeries:
+    """log(T) = T + ... modulo T^(order+1), the integral of the invariant
+    differential dx / (2y + a1 x + a3).
+
+    With W = w/t^3, x = 1/(t^2 W) and y = -1/(t^3 W), so the differential is
+    (2W + t W') / (W (2 - a1 t - a3 t^3 W)) dt.
+    """
+    n = order - 1
+    W = curve_w_series(model, order + 2).coeffs[3:]
+    num = TruncatedSeries(tuple((k + 2) * c for k, c in enumerate(W)), n)
+    den = TruncatedSeries(
+        (2, -model.a1, 0) + tuple(-model.a3 * c for c in W[: n - 2]), n)
+    omega = num * (TruncatedSeries(W, n) * den).inverse()
+    return TruncatedSeries(
+        (0,) + tuple(c / (k + 1) for k, c in enumerate(omega.coeffs)), order)
+
+
+def formal_exp(log: TruncatedSeries) -> TruncatedSeries:
+    """The compositional inverse of log = T + ..., by Lagrange inversion:
+    its T^k coefficient is [t^(k-1)] (t/log)^k / k.
+    """
+    n = log.order
+    t_over_log = TruncatedSeries(log.coeffs[1:], n - 1).inverse()
+    coeffs = [Fraction(0)]
+    power = TruncatedSeries((1,), n - 1)
+    for k in range(1, n + 1):
+        power = power * t_over_log
+        coeffs.append(power.coefficient(k - 1) / k)
+    return TruncatedSeries(tuple(coeffs), n)
 
 
 def formal_add(model: WeierstrassModel, s1: TruncatedSeries,
-               s2: TruncatedSeries,
-               w_series: TruncatedSeries | None = None) -> TruncatedSeries:
+               s2: TruncatedSeries) -> TruncatedSeries:
     """The formal group law F(s1, s2) for parameter series s1, s2."""
-    if s1.valuation() < 1 or s2.valuation() < 1:
-        raise InputError("formal addition needs series with zero constant term")
-    order = min(s1.order, s2.order)
-    if w_series is None or w_series.order < order:
-        w_series = curve_w_series(model, order)
-    w1 = w_series.compose(s1)
-    w2 = w_series.compose(s2)
-    same = s1.truncate(order).coeffs == s2.truncate(order).coeffs
-    if same:
-        lam = w_series.derivative().compose(s1)
-    else:
-        lam = (w2 - w1).divide(s2 - s1)
-    nu = w1 - lam * s1
-    a1, a2, a3, a4, a6 = model.coefficients()
-    one = TruncatedSeries.constant(1, lam.order)
-    lam2 = lam * lam
-    den = one + lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)
-    num = -(lam.scale(a1) + nu.scale(a2) + lam2.scale(a3)
-            + (lam * nu).scale(2 * a4) + (lam2 * nu).scale(3 * a6))
-    t3 = num.divide(den) - s1 - s2
-    return _formal_negation(model, w_series, t3)
+    log = formal_log(model, min(s1.order, s2.order))
+    return formal_exp(log).compose(log.compose(s1) + log.compose(s2))
 
 
 def mult_by_m_series(model: WeierstrassModel, m: int, order: int) -> TruncatedSeries:
@@ -203,18 +157,12 @@ def mult_by_m_series(model: WeierstrassModel, m: int, order: int) -> TruncatedSe
         raise InputError(f"multiplier must be >= 1, got {m}")
     if order < 1:
         raise InputError(f"order must be >= 1, got {order}")
-    work = order + m + 4  # each addition can cost one order of precision
-    t = TruncatedSeries.identity(work)
-    w_series = curve_w_series(model, work)
-    acc = t
-    for _ in range(m - 1):
-        acc = formal_add(model, acc, t, w_series)
-    if acc.order < order:
-        raise InternalError("multiplication-by-m lost more precision than budgeted")
-    acc = acc.truncate(order)
-    if acc.coefficient(1) != m:
-        raise InternalError(f"[{m}]T has linear coefficient {acc.coefficient(1)}")
-    return acc
+    log = formal_log(model, order)
+    series = formal_exp(log).compose(
+        TruncatedSeries(tuple(m * c for c in log.coeffs), order))
+    if series.coefficient(1) != m:
+        raise InternalError(f"[{m}]T has linear coefficient {series.coefficient(1)}")
+    return series
 
 
 @dataclass(frozen=True)

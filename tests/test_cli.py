@@ -206,6 +206,18 @@ def test_verify_off_curve_corpus_line(tmp_path, capsys):
     assert "line 1" in str(info.value)
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_verify_unreadable_corpus_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "corpus.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    assert main(["verify", "--corpus", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_detects_wrong_expectation(tmp_path, capsys):
     entries = load_corpus(CORPUS_PATH)
     sample = dict(json.loads(json.dumps({

@@ -21,12 +21,22 @@ GENERIC = WeierstrassModel(1, 2, 3, 4, 5)
 
 def test_series_arithmetic_exact_mod_truncation():
     a = TruncatedSeries((0, 1, 2, 3), 3)
-    b = TruncatedSeries((0, 1, 0, 0), 3)
-    assert (a + b).coeffs == (0, 2, 2, 3)
-    assert (a * b).coeffs == (0, 0, 1, 2, 3) + (0,) * 0  # order 4 = 3 + v(b)
-    # quotient precision: min(order(num), order(den)) - v(den)
-    q = (a * b).divide(b)
-    assert q.order == 2 and q.coeffs == (0, 1, 2)
+    b = TruncatedSeries((0, 1, 0, 0, 0, 0), 5)
+    # sums and products are known to the smaller of the two orders
+    assert (a + b).order == 3 and (a + b).coeffs == (0, 2, 2, 3)
+    assert (a * b).order == 3 and (a * b).coeffs == (0, 0, 1, 2)
+    one_minus_t = TruncatedSeries((1, -1), 4)
+    assert one_minus_t.inverse().coeffs == (1, 1, 1, 1, 1)
+    assert (one_minus_t * one_minus_t.inverse()).coeffs == (1, 0, 0, 0, 0)
+    # 1/(1 - s) at s = t + t^2 is the Fibonacci series 1/(1 - t - t^2)
+    geometric = TruncatedSeries((1, 1, 1, 1), 3)
+    s = TruncatedSeries((0, 1, 1), 5)
+    assert geometric.compose(s).order == 3
+    assert geometric.compose(s).coeffs == (1, 1, 2, 3)
+    with pytest.raises(InputError):
+        a.inverse()
+    with pytest.raises(InputError):
+        a.compose(one_minus_t)
 
 
 def test_series_compose_and_reversion_consistency():
@@ -67,25 +77,38 @@ def test_doubling_quadratic_coefficient():
 
 
 def test_homomorphism_property():
-    for m1, m2 in ((1, 1), (1, 2), (2, 3), (3, 4)):
-        lhs = formal_add(E37, mult_by_m_series(E37, m1, 14),
-                         mult_by_m_series(E37, m2, 14))
-        rhs = mult_by_m_series(E37, m1 + m2, 10)
-        assert lhs.truncate(10).coeffs == rhs.coeffs, (m1, m2)
+    for model in (E37, GENERIC):
+        for m1, m2 in ((1, 1), (1, 2), (2, 3), (3, 4)):
+            lhs = formal_add(model, mult_by_m_series(model, m1, 14),
+                             mult_by_m_series(model, m2, 10))
+            rhs = mult_by_m_series(model, m1 + m2, 10)
+            assert lhs.coeffs == rhs.coeffs, (model, m1, m2)
 
 
 def test_series_matches_exact_group_law_p_adically():
-    # Q = [5]P on 37a lies in the formal group at 2 (t(Q) = 2/5, v = 1);
-    # the [2]T series must agree with the exact group law mod 2^(N+1)
-    q = Point(Fraction(1, 4), Fraction(-5, 8))
-    t_q = -q.x / q.y
-    assert val(t_q, 2) == 1
+    # each Q lies in the formal group at 2 (v(t(Q)) = 1); the [m]T series
+    # must agree with the exact group law mod 2^(N+1)
     n = 12
-    series = mult_by_m_series(E37, 2, n)
-    q2 = mul(E37, 2, q)
-    t_q2 = -q2.x / q2.y
-    approx = sum(c * t_q ** i for i, c in enumerate(series.coeffs))
-    assert val(approx - t_q2, 2) >= n + 1
+    for model, q in (
+            (E37, Point(Fraction(1, 4), Fraction(-5, 8))),  # a1 = 0, a3 = 1
+            (WeierstrassModel(1, -1, 1, 0, 0),               # a1 = a3 = 1
+             Point(Fraction(-1, 4), Fraction(-5, 8)))):
+        t_q = -q.x / q.y
+        assert val(t_q, 2) == 1
+        for m in (2, 3, 5):
+            series = mult_by_m_series(model, m, n)
+            qm = mul(model, m, q)
+            t_qm = -qm.x / qm.y
+            approx = sum(c * t_q ** i for i, c in enumerate(series.coeffs))
+            assert val(approx - t_qm, 2) >= n + 1, (model, m)
+
+
+@pytest.mark.parametrize("model", [E37, GENERIC, WeierstrassModel(1, -1, 1, 0, 0),
+                                   WeierstrassModel(0, 0, 0, 5, -125)])
+def test_mult_by_m_is_integral_on_integral_models(model):
+    for m in range(1, 7):
+        series = mult_by_m_series(model, m, 12)
+        assert all(c.denominator == 1 for c in series.coeffs), m
 
 
 def test_unit_exponent_scans():
