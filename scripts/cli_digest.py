@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Digest of the command line's behaviour over a fixed command set.
+
+Runs every command in-process through ``gcval.cli.main`` and prints one
+line per command: the exit code, the sha256 of stdout, the sha256 of
+stderr and the argv.  Two trees whose outputs are byte-identical give
+identical digests, so a refactor is checked by running this once on each
+tree and diffing the two outputs:
+
+    PYTHONPATH=<tree>/src python scripts/cli_digest.py > digest.txt
+
+The command set is ``verify`` at --n-max 40, 60 and 100; for each entry of
+the bundled corpus, ``kval`` in all three modes, ``profile`` with and
+without --point, ``psi``, ``formal-group`` at its default order and at
+--m 3 --order 12, and ``seq``; and the exit-2/3 error paths, among them one
+``formal-group`` just above the --order cap.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import shlex
+from importlib import resources
+
+from gcval.cli import main
+
+OTHER_COMMANDS = (
+    # exit 0, off the corpus
+    "formal-group --curve 1,2,3,4,5 --prime 7 --m 4 --order 20",
+    # exit 2: malformed input
+    "profile --curve 0,0,0,0 --prime 5",
+    "profile --prime 5",
+    "kval --curve 0,0,0,0,1 --point 1,1 --prime 5 --n-max 3",
+    "kval --curve 0,0,1,-1,0 --point 0,0 --prime 2 --n-max 201",
+    "psi --curve 0,0,1,-1,0 --point 0,0 --prime 2 --n-max 0",
+    "formal-group --curve 0,0,1,-1,0 --prime 2 --m 0",
+    "formal-group --curve 0,0,1,-1,0 --prime 2 --order -1",
+    "formal-group --curve 0,0,1,-1,0 --prime 2 --order 123",  # above the cap
+    "seq --sn 2 1 0 -1 0 2 1",
+    "seq --sn 0 1 0 1 0 5 1",
+    "verify --corpus does-not-exist.jsonl",
+    # exit 3: precondition violations
+    "profile --curve 0,0,0,0,1 --prime 6",
+    "profile --curve 1,0,0,0,0 --prime 5",
+    "kval --curve 0,0,0,0,1 --point 2,3 --prime 5 --n-max 3 --mode formula",
+    "kval --curve 0,0,0,0,1 --point 2,3 --prime 5 --n-max 3 --mode direct",
+    "psi --curve 0,0,0,0,1 --point 2,3 --prime 4 --n-max 3",
+    "seq --sn 2 1 0 1 0 4 1",
+)
+
+
+def corpus_commands():
+    text = resources.files("gcval").joinpath("data/corpus.jsonl").read_text("utf-8")
+    for line in text.splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        entry = json.loads(line)
+        curve = ["--curve", ",".join(entry["a"])]
+        point = ["--point", ",".join(entry["point"])]
+        prime = ["--prime", str(entry["prime"])]
+        for mode in ("formula", "direct", "both"):
+            yield ["kval", *curve, *point, *prime, "--mode", mode]
+        yield ["profile", *curve, *prime]
+        yield ["profile", *curve, *point, *prime]
+        yield ["psi", *curve, *point, *prime]
+        yield ["formal-group", *curve, *prime]
+        yield ["formal-group", *curve, *prime, "--m", "3", "--order", "12"]
+        p = str(entry["prime"])
+        yield ["seq", "--sn", p, "1", "0", "1", "1", p, "40"]
+        yield ["seq", "--rn", "1", p, "40"]
+
+
+def commands():
+    for n_max in ("40", "60", "100"):
+        yield ["verify", "--n-max", n_max]
+    yield from corpus_commands()
+    for text in OTHER_COMMANDS:
+        yield shlex.split(text)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+if __name__ == "__main__":
+    for argv in commands():
+        code, out, err = run(argv)
+        print(code, sha(out), sha(err), shlex.join(argv), flush=True)

@@ -6,8 +6,10 @@ identical inputs give byte-identical reports.
 
 Exit codes: 0 success, 1 verification mismatch, 2 malformed input,
 3 precondition violation (torsion point, singular curve, non-prime),
-4 internal failure (a failed consistency check, an unsupported case, an
-exceeded budget, or any other exception), reported as one line on stderr.
+4 internal failure (a failed consistency check, an unsupported case, or
+any other exception), reported as one line on stderr.  ``--n-max`` above
+N_MAX_GUARDRAIL and a ``formal-group`` order (default p^2+1) above
+ORDER_GUARDRAIL exit 2.
 
 ``seq --sn B E H S W P N`` takes B = 1 or a positive multiple of P,
 E >= 1, H >= 0, S >= 1, W >= 0 (H = W = 0 when B = 1) and N >= 1, else
@@ -60,6 +62,10 @@ EXIT_INTERNAL = 4
 
 #: digit counts grow quadratically in n, so refuse unbounded sweeps
 N_MAX_GUARDRAIL = 200
+
+#: [m]T to order N grows steeply in N (order 122, the p = 11 default, takes
+#: ~16 s and order 170, at p = 13, ~69 s), so refuse orders above 122
+ORDER_GUARDRAIL = 122
 
 
 def _check_n_max(n_max: int) -> int:
@@ -212,6 +218,9 @@ def cmd_formal_group(args) -> int:
     model, _ = _prepare(model, None, args.prime)
     m = args.prime if args.m is None else args.m
     order = args.order if args.order else args.prime ** 2 + 1
+    if order > ORDER_GUARDRAIL:
+        what = "--order" if args.order else "the default --order p^2+1"
+        raise InputError(f"{what} is capped at {ORDER_GUARDRAIL}, got {order}")
     series = mult_by_m_series(model, m, order)
     for i in range(1, order + 1):
         c = series.coefficient(i)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .curve_core import Point, WeierstrassModel, mul, on_curve
+from .curve_core import Point, WeierstrassModel, mul, multiples, on_curve
 from .divpoly import psi2_squared_x, psi_sequence
 from .engine import (
     REQUIRED_ROWS,
@@ -184,8 +184,7 @@ def _structural_checks(report: EntryReport, tate, prof, p: int, seq):
         report.check_failures.append(f"{name}{': ' + detail if detail else ''}")
 
     # x([n]P) psi_n^2 = phi_n for n <= 20
-    for n in range(1, 21):
-        q = mul(model, n, pt)
+    for n, q in zip(range(1, 21), multiples(model, pt)):
         if q.is_infinity:
             fail("multiple-infinite", f"[{n}]P = O")
             break

@@ -264,16 +264,23 @@ def mul(model: WeierstrassModel, n: int, point: Point) -> Point:
 TORSION_GUARD_BOUND = 16
 
 
+def multiples(model: WeierstrassModel, point: Point):
+    """Yield [1]P, [2]P, [3]P, ... without end; P is checked on the curve
+    once, when the first multiple is asked for."""
+    require_on_curve(model, point)
+    acc = point
+    while True:
+        yield acc
+        acc = _add(model, acc, point)
+
+
 def assert_infinite_order(model: WeierstrassModel, point: Point,
                           bound: int = TORSION_GUARD_BOUND) -> Point:
-    require_on_curve(model, point)
     if point.is_infinity:
         raise TorsionPointError("the point at infinity is torsion")
-    acc = point
-    for n in range(1, bound + 1):
+    for n, acc in zip(range(1, bound + 1), multiples(model, point)):
         if acc.is_infinity:
             raise TorsionPointError(f"[{n}]{point} = O: torsion point")
-        acc = _add(model, acc, point)
     return point
 
 

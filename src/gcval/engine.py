@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve_core import Point, WeierstrassModel, mul
+from .curve_core import Point, WeierstrassModel
 from .divpoly import DivPolySequence, psi_sequence
 from .errors import (
     InputError,
@@ -279,7 +279,15 @@ def predict_psi_val(profile: ReductionProfile, params: StaircaseParams,
 
 
 def predict_phi_val(profile: ReductionProfile, n: int) -> Valuation | None:
-    """Predicted v(phi_n(P)), or None where no prediction is made."""
+    """Predicted v(phi_n(P)), or None where no prediction is made.
+
+    For a non-singular P with n_P not dividing n, v(x(P)) >= 0 (else n_P =
+    1) and v(phi_n) = 0 when x([n]P) is a p-adic unit; else None.  This is
+    periodic in n mod n_P: reduction E_0(Q_p) -> E~_ns(F_p) is a
+    homomorphism with kernel E_1 (Silverman, AEC VII.2), so [n]P reduces
+    like [n mod n_P]P, and the profile's x_unit_residues lists the residues
+    where that x is a unit.
+    """
     if n < 1:
         raise InputError(f"index must be >= 1, got {n}")
     t = profile.tate
@@ -288,10 +296,7 @@ def predict_phi_val(profile: ReductionProfile, n: int) -> Valuation | None:
             if profile.v_x >= 0:
                 return 0
             return int(profile.v_x) * n * n
-        q = mul(t.minimal_model, n, profile.point)
-        if not q.is_infinity and val(q.x, t.p) == 0:
-            return 0 if profile.v_x >= 0 else int(profile.v_x) * n * n
-        return None
+        return 0 if n % profile.n_p in profile.x_unit_residues else None
     if t.reduction == "multiplicative" and n % profile.n_p == 0:
         return 2 * r_n(profile.a_p, t.v_delta, n)
     return None

@@ -3,9 +3,9 @@
 At the CLI boundary, InputError maps to exit code 2 (malformed input),
 PreconditionError to exit code 3 (well-formed input that violates a stated
 precondition: torsion point, singular curve, non-prime modulus), and
-InternalError, UnsupportedCaseError, ResourceBudgetError and any exception
-outside this hierarchy to exit code 4 (internal failure).  Exit code 1 is
-kept for a verification mismatch.
+InternalError, UnsupportedCaseError and any exception outside this
+hierarchy to exit code 4 (internal failure).  Exit code 1 is kept for a
+verification mismatch.
 """
 
 
@@ -48,6 +48,3 @@ class UnsupportedCaseError(ToolkitError):
 class InternalError(ToolkitError):
     """An internal consistency check failed; this indicates a bug."""
 
-
-class ResourceBudgetError(ToolkitError):
-    """A configured size budget (point multiplication, series order) was exceeded."""

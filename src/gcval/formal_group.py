@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve_core import Point, WeierstrassModel, mul
-from .errors import (
-    InputError,
-    InternalError,
-    ResourceBudgetError,
-    TorsionPointError,
-)
+from .errors import InputError, InternalError, TorsionPointError
 from .exact_numbers import INFINITY, Valuation, check_prime, val
 
 
@@ -235,9 +230,6 @@ def staircase_j(b: int, e: int, h: int, s: int) -> int:
     return j
 
 
-_MULTIPLE_BUDGET = 10 ** 6
-
-
 def _xy_valuation(point: Point, p: int) -> Valuation:
     if point.is_infinity:
         return INFINITY
@@ -267,14 +259,7 @@ def staircase_params(model: WeierstrassModel, point: Point, p: int, n_p: int,
     j = staircase_j(b, e, h, s)
     w: Valuation = 0
     if e == b ** j * ((b - 1) * s + h):
-        if p ** (j + 1) * n_p > _MULTIPLE_BUDGET:
-            raise ResourceBudgetError("w computation needs too large a multiple")
-        q0 = mul(model, p ** j * n_p, point)
-        q1 = mul(model, p ** (j + 1) * n_p, point)
-        v0 = _xy_valuation(q0, p)
-        v1 = _xy_valuation(q1, p)
-        if v0 == INFINITY or v1 == INFINITY:
-            w = INFINITY
-        else:
-            w = int(v1) - b * int(v0) - h
+        # e = 1 forces j = 0, so w compares [p^(j+1) n_P]P = [p]q with q
+        v1 = _xy_valuation(mul(model, p, q), p)
+        w = INFINITY if v1 == INFINITY else int(v1) - b * s - h
     return StaircaseParams(b, e, h, j, s, w).validate(p)

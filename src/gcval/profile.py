@@ -4,7 +4,9 @@ Collects everything the valuation formulas need: whether the point reduces
 to the singular locus, the order n_P of its reduction, the order m_P of its
 image in the component group, the component index a_P for multiplicative
 reduction, and the valuations of psi_2^2, psi_3 and phi_2 on the normalized
-model.
+model.  One walk over [1]P, ..., [n_P]P gives n_P, m_P, [2]P's singularity
+and the residues r < n_P with x([r]P) a p-adic unit, on which
+engine.predict_phi_val bases its v(phi_n) prediction.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 from .curve_core import (
     Point,
     WeierstrassModel,
-    _add,
-    add,
     assert_infinite_order,
     map_point,
+    multiples,
     require_on_curve,
 )
 from .divpoly import phi2_x, psi2_squared_x, psi2_value, psi3_value
@@ -41,6 +42,7 @@ class ReductionProfile:
     v_psi3: Valuation
     v_phi2: Valuation
     v_x: Valuation            # v(x(P)) on the minimal model
+    x_unit_residues: frozenset  # r in 1..n_P-1 with v(x([r]P)) = 0
 
 
 def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
@@ -64,15 +66,6 @@ def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     return val(fx, p) >= 1 and val(fy, p) >= 1
 
 
-def _search_multiple(model, point, predicate, cap, what):
-    acc = point
-    for n in range(1, cap + 1):
-        if predicate(acc):
-            return n
-        acc = _add(model, acc, point)
-    raise InternalError(f"{what} search exceeded its cap of {cap}")
-
-
 def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     """Profile of an infinite-order point given on the *input* model."""
     p = tate.p
@@ -81,24 +74,27 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     pt = map_point(tate.to_minimal, point)
     assert_infinite_order(minimal, pt)  # also checks pt is on the minimal model
 
-    singular = point_is_singular(minimal, pt, p)
-    v_x = val(pt.x, p)
-
-    # n_P: the reduction of P has order dividing c_v * |E~_ns(F_p)|, and
-    # |E~_ns(F_p)| <= p + 1 + 2*sqrt(p).
+    # Walk to [n_P]P, the first multiple in E_1 (v(x) < 0); n_P divides
+    # c_v * |E~_ns(F_p)| <= c_v * (p + 1 + 2*sqrt(p)).  m_P, the first n with
+    # [n]P non-singular, divides n_P because E_1 is non-singular.
     n_cap = (p + 1 + 2 * math.isqrt(p) + 2 + 1) * tate.cv
-    n_p = _search_multiple(
-        minimal, pt, lambda q: (not q.is_infinity) and val(q.x, p) < 0,
-        n_cap, "n_P")
-
-    # m_P: order of the image in the component group.
     m_for_cap = tate.kodaira.m if tate.kodaira.series == "I" else 0
     m_cap = max(tate.cv, m_for_cap) + 1
-    m_p = _search_multiple(
-        minimal, pt, lambda q: not point_is_singular(minimal, q, p),
-        m_cap, "m_P")
-    if singular != (m_p > 1):
-        raise InternalError("m_P disagrees with the singularity flag")
+    v_walk = []
+    m_p = None
+    for n, q in enumerate(multiples(minimal, pt), start=1):
+        v_walk.append(val(q.x, p))
+        if m_p is None:
+            if not point_is_singular(minimal, q, p):
+                m_p = n
+            elif n >= m_cap:
+                raise InternalError(f"m_P search exceeded its cap of {m_cap}")
+        if v_walk[-1] < 0:
+            break
+        if n >= n_cap:
+            raise InternalError(f"n_P search exceeded its cap of {n_cap}")
+    n_p = len(v_walk)
+    singular = m_p > 1
 
     a_p = None
     if singular and tate.reduction == "multiplicative":
@@ -119,10 +115,8 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
             raise InternalError(
                 f"m_P = {m_p} but component index predicts {expected_m_p}")
 
-    two_p_singular = None
-    if tate.kodaira.series == "I*" and singular:
-        two = add(minimal, pt, pt)
-        two_p_singular = point_is_singular(minimal, two, p)
+    # [2]P is singular iff the walk passed it before reaching m_P
+    two_p_singular = m_p > 2 if tate.kodaira.series == "I*" and singular else None
 
     pt_norm = map_point(tate.to_normalized, pt)
     normalized = tate.normalized_model
@@ -143,5 +137,7 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
         v_psi2_sq=v_psi2_sq,
         v_psi3=v_psi3,
         v_phi2=v_phi2,
-        v_x=v_x,
+        v_x=v_walk[0],
+        x_unit_residues=frozenset(
+            r for r, v in enumerate(v_walk, start=1) if v == 0),
     )

@@ -120,26 +120,12 @@ def _cubic_analysis(A, B, C, p):
     disc = (18 * A * B * C - 4 * A ** 3 * C + A * A * B * B - 4 * B ** 3 - 27 * C * C) % p
     if disc != 0:
         return "separable", len(_roots_mod_p([C, B, A, 1], p))
-    # the repeated root of a cubic is Galois-stable, hence in F_p
+    # the repeated root of a cubic is Galois-stable, hence in F_p; it is the
+    # common root of f and f', and the third root is -A - 2*alpha
     for alpha in range(p):
-        if _poly_value([C, B, A, 1], alpha, p) != 0:
-            continue
-        # multiplicity via synthetic division
-        coeffs = [1, A % p, B % p, C % p]
-        mult = 0
-        while True:
-            out, rem = [], 0
-            for c in coeffs:
-                rem = (rem * alpha + c) % p
-                out.append(rem)
-            if out[-1] != 0:
-                break
-            mult += 1
-            coeffs = out[:-1]
-            if len(coeffs) == 1:
-                break
-        if mult >= 2:
-            return ("triple" if mult >= 3 else "double"), alpha
+        if (_poly_value([C, B, A, 1], alpha, p) == 0
+                and _poly_value([B, 2 * A, 3], alpha, p) == 0):
+            return ("triple" if (A + 3 * alpha) % p == 0 else "double"), alpha
     raise InternalError("cubic with zero discriminant but no repeated root found")
 
 

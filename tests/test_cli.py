@@ -8,6 +8,7 @@ from gcval.corpus import CorpusParseError, load_corpus
 from gcval.curve_core import Point, WeierstrassModel
 from gcval.divpoly import psi_sequence
 from gcval.errors import InternalError
+from gcval.formal_group import TruncatedSeries
 
 from tests.conftest import CORPUS_PATH
 
@@ -136,6 +137,37 @@ def test_formal_group_output(capsys):
                           "--prime", "2", "--m", "2", "--order", "5")
     assert code == 0
     assert lines[0] == {"exponent": 1, "coefficient": "2", "valuation": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--prime", "5", "--order", "123"],
+    ["--prime", "5", "--order", "100000"],
+    ["--prime", "13"],                    # default order 13^2 + 1 = 170
+], ids=["explicit-123", "explicit-100000", "default-170"])
+def test_formal_group_order_cap_exits_2(capsys, argv):
+    assert main(["formal-group", "--curve", "0,0,1,-1,0", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "capped at 122" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--prime", "5", "--order", "122"],
+    ["--prime", "11"],                    # default order 11^2 + 1 = 122
+], ids=["explicit-122", "default-122"])
+def test_formal_group_order_at_cap_runs(capsys, monkeypatch, argv):
+    # building [m]T to order 122 takes seconds, so a stand-in series of the
+    # requested order shows that the order reaches the builder
+    orders = []
+
+    def series_of_order(model, m, order):
+        orders.append(order)
+        return TruncatedSeries((0, m), order)
+
+    monkeypatch.setattr("gcval.cli.mult_by_m_series", series_of_order)
+    code, lines = run_cli(capsys, "formal-group", "--curve", "0,0,1,-1,0", *argv)
+    assert code == 0 and orders == [122] and len(lines) == 122
 
 
 def test_seq_rn_and_sn(capsys):

@@ -15,6 +15,7 @@ from gcval.curve_core import (
     integralize_at,
     map_point,
     mul,
+    multiples,
     neg,
     on_curve,
 )
@@ -119,7 +120,9 @@ def test_negation_formula():
     lambda off: assert_infinite_order(E37, off),
     lambda off: psi_sequence(E37, off, 4),
     lambda off: compute_profile(run_tate(E37, 5), off),
-], ids=["add", "mul", "assert_infinite_order", "psi_sequence", "compute_profile"])
+    lambda off: next(multiples(E37, off)),
+], ids=["add", "mul", "assert_infinite_order", "psi_sequence", "compute_profile",
+        "multiples"])
 def test_off_curve_rejected(call):
     # each public entry point checks curve membership once, on entry
     with pytest.raises(InputError):

@@ -8,13 +8,17 @@ Two independent oracles keep the Tate runner honest:
 * for any p, the closed form k_formula must reproduce the brute-force
   division-polynomial minimum on randomly constructed (curve, point, prime)
   triples (point first, a6 solved from the equation).
+
+A third test keeps the profile's residue-class phi_n prediction equal to
+computing [n]P afresh over Q.
 """
 
 import random
 
-from gcval.curve_core import CoordinateChange, Point, WeierstrassModel, apply_change, map_point, on_curve
-from gcval.engine import classify_row, k_direct_range, k_formula, table_decomposition
+from gcval.curve_core import CoordinateChange, Point, WeierstrassModel, apply_change, map_point, mul, on_curve
+from gcval.engine import classify_row, k_direct_range, k_formula, predict_phi_val, table_decomposition
 from gcval.errors import SingularCurveError, TorsionPointError, TwoTorsionError
+from gcval.exact_numbers import val
 from gcval.profile import compute_profile
 from gcval.tate import run_tate
 
@@ -102,6 +106,44 @@ def test_point_first_theorem_fuzz():
     assert exercised["singular"] >= 40
     assert exercised["nonsingular"] >= 40
     assert len(rows) >= 6
+
+
+def _predict_phi_val_by_mul(profile, n):
+    """Reference for a non-singular P: reduce [n]P, computed over Q."""
+    if n % profile.n_p == 0:
+        return 0 if profile.v_x >= 0 else int(profile.v_x) * n * n
+    q = mul(profile.tate.minimal_model, n, profile.point)
+    if not q.is_infinity and val(q.x, profile.tate.p) == 0:
+        return 0 if profile.v_x >= 0 else int(profile.v_x) * n * n
+    return None
+
+
+def test_phi_prediction_matches_multiples_over_q():
+    rng = random.Random(0x9F1)
+    seen = {0: 0, None: 0}
+    points = 0
+    while points < 60:
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        x = rng.randint(-2 * p, 2 * p)
+        y = rng.randint(-2 * p, 2 * p)
+        a1, a3 = rng.choice([0, 1]), rng.choice([0, 1, p])
+        a2, a4 = rng.randint(-p, p), rng.randint(-p, p)
+        a6 = y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x
+        try:
+            prof = compute_profile(run_tate(WeierstrassModel(a1, a2, a3, a4, a6), p),
+                                   Point(x, y))
+        except (SingularCurveError, TorsionPointError, TwoTorsionError):
+            continue
+        if prof.singular:
+            continue
+        points += 1
+        for n in range(1, 31):
+            want = _predict_phi_val_by_mul(prof, n)
+            assert predict_phi_val(prof, n) == want, (a1, a2, a3, a4, a6, x, y, p, n)
+            if n % prof.n_p:
+                seen[want] += 1
+    # both outcomes occur off the multiples of n_P
+    assert seen[0] >= 100 and seen[None] >= 20, seen
 
 
 def test_point_first_fuzz_nonminimal_inputs():

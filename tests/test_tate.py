@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from gcval.curve_core import CoordinateChange, WeierstrassModel, apply_change
 from gcval.errors import InputError, NonIntegralError, NonPrimeError
 from gcval.exact_numbers import INFINITY
-from gcval.tate import KodairaType, run_tate
+from gcval.tate import KodairaType, _cubic_analysis, _poly_value, _roots_mod_p, run_tate
 
 
 def kodaira(model, p):
@@ -189,3 +189,39 @@ def test_kodaira_parse_and_str():
 def test_vj_infinite_for_zero_j():
     t = run_tate(WeierstrassModel(0, 0, 0, 0, 1), 5)  # j = 0
     assert t.v_j == INFINITY
+
+
+def _cubic_analysis_by_synthetic_division(A, B, C, p):
+    """Reference: the repeated root's multiplicity by synthetic division."""
+    disc = (18 * A * B * C - 4 * A ** 3 * C + A * A * B * B - 4 * B ** 3 - 27 * C * C) % p
+    if disc != 0:
+        return "separable", len(_roots_mod_p([C, B, A, 1], p))
+    for alpha in range(p):
+        if _poly_value([C, B, A, 1], alpha, p) != 0:
+            continue
+        coeffs = [1, A % p, B % p, C % p]
+        mult = 0
+        while True:
+            out, rem = [], 0
+            for c in coeffs:
+                rem = (rem * alpha + c) % p
+                out.append(rem)
+            if out[-1] != 0:
+                break
+            mult += 1
+            coeffs = out[:-1]
+            if len(coeffs) == 1:
+                break
+        if mult >= 2:
+            return ("triple" if mult >= 3 else "double"), alpha
+    raise AssertionError("zero discriminant but no repeated root")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_cubic_analysis_matches_synthetic_division(p):
+    # every monic cubic over F_p
+    for A in range(p):
+        for B in range(p):
+            for C in range(p):
+                assert (_cubic_analysis(A, B, C, p)
+                        == _cubic_analysis_by_synthetic_division(A, B, C, p)), (A, B, C, p)
