@@ -12,8 +12,11 @@ tree and diffing the two outputs:
 The command set is ``verify`` at --n-max 40, 60 and 100; for each entry of
 the bundled corpus, ``kval`` in all three modes, ``profile`` with and
 without --point, ``psi``, ``formal-group`` at its default order and at
---m 3 --order 12, and ``seq``; and the exit-2/3 error paths, among them one
-``formal-group`` just above the --order cap.
+--m 3 --order 12, and ``seq``; ``profile`` of a torsion point; and the
+exit-2/3 error paths, among them one ``formal-group`` just above the
+--order cap and ``verify`` on three malformed one-entry corpora, which the
+script writes to a temporary directory.  The argv is printed with that
+directory as ``{tmp}``, so digests from two runs compare line by line.
 """
 
 from __future__ import annotations
@@ -23,13 +26,25 @@ import hashlib
 import io
 import json
 import shlex
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 from gcval.cli import main
+
+#: one-entry corpora whose single line is malformed: a Kodaira pin that is
+#: no Kodaira symbol, flags that are no list, a c_v pin that is a string
+_ENTRY = '"label": "bad", "a": ["0","0","1","-1","0"], "point": ["0","0"], "prime": 5'
+BAD_CORPORA = {
+    "bad-kodaira.jsonl": "{" + _ENTRY + ', "expect": {"kodaira": "Q7"}}',
+    "bad-flags.jsonl": "{" + _ENTRY + ', "flags": 3}',
+    "bad-cv.jsonl": "{" + _ENTRY + ', "expect": {"cv": "2"}}',
+}
 
 OTHER_COMMANDS = (
     # exit 0, off the corpus
     "formal-group --curve 1,2,3,4,5 --prime 7 --m 4 --order 20",
+    "profile --curve 0,0,0,0,1 --point 2,3 --prime 5",  # a torsion point
     # exit 2: malformed input
     "profile --curve 0,0,0,0 --prime 5",
     "profile --prime 5",
@@ -37,11 +52,15 @@ OTHER_COMMANDS = (
     "kval --curve 0,0,1,-1,0 --point 0,0 --prime 2 --n-max 201",
     "psi --curve 0,0,1,-1,0 --point 0,0 --prime 2 --n-max 0",
     "formal-group --curve 0,0,1,-1,0 --prime 2 --m 0",
+    "formal-group --curve 0,0,1,-1,0 --prime 2 --order 0",
     "formal-group --curve 0,0,1,-1,0 --prime 2 --order -1",
     "formal-group --curve 0,0,1,-1,0 --prime 2 --order 123",  # above the cap
     "seq --sn 2 1 0 -1 0 2 1",
     "seq --sn 0 1 0 1 0 5 1",
     "verify --corpus does-not-exist.jsonl",
+    "verify --corpus {tmp}/bad-kodaira.jsonl",
+    "verify --corpus {tmp}/bad-flags.jsonl",
+    "verify --corpus {tmp}/bad-cv.jsonl",
     # exit 3: precondition violations
     "profile --curve 0,0,0,0,1 --prime 6",
     "profile --curve 1,0,0,0,0 --prime 5",
@@ -96,6 +115,9 @@ def sha(text: str) -> str:
 
 
 if __name__ == "__main__":
-    for argv in commands():
-        code, out, err = run(argv)
-        print(code, sha(out), sha(err), shlex.join(argv), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, line in BAD_CORPORA.items():
+            Path(tmp, name).write_text(line + "\n", encoding="utf-8")
+        for argv in commands():
+            code, out, err = run([arg.format(tmp=tmp) for arg in argv])
+            print(code, sha(out), sha(err), shlex.join(argv), flush=True)

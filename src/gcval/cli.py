@@ -217,9 +217,9 @@ def cmd_formal_group(args) -> int:
     model = _parse_curve(args.curve)
     model, _ = _prepare(model, None, args.prime)
     m = args.prime if args.m is None else args.m
-    order = args.order if args.order else args.prime ** 2 + 1
+    order = args.prime ** 2 + 1 if args.order is None else args.order
     if order > ORDER_GUARDRAIL:
-        what = "--order" if args.order else "the default --order p^2+1"
+        what = "the default --order p^2+1" if args.order is None else "--order"
         raise InputError(f"{what} is capped at {ORDER_GUARDRAIL}, got {order}")
     series = mult_by_m_series(model, m, order)
     for i in range(1, order + 1):
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, point_required=None)
     p.add_argument("--m", type=int, default=None,
                    help="multiplier (default: the prime)")
-    p.add_argument("--order", type=int, default=0,
+    p.add_argument("--order", type=int, default=None,
                    help="truncation order (default: p^2+1)")
     p.set_defaults(func=cmd_formal_group)
 

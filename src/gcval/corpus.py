@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .curve_core import Point, WeierstrassModel, mul, multiples, on_curve
+from .curve_core import Point, WeierstrassModel, multiples, on_curve
 from .divpoly import psi2_squared_x, psi_sequence
 from .engine import (
     REQUIRED_ROWS,
@@ -59,6 +59,23 @@ class CorpusParseError(InputError):
         self.line = line
 
 
+def _check_expect_block(expect, line: int) -> None:
+    """The pinned values must have the types _check_expect compares them as,
+    so that a malformed pin reads as bad input, not as a failed check."""
+    if not isinstance(expect, dict):
+        raise CorpusParseError(line, "'expect' must be an object")
+    for key in ("cv", "mP"):
+        value = expect.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise CorpusParseError(line, f"expect.{key} must be an integer, got {value!r}")
+    if not isinstance(expect.get("row", ""), str):
+        raise CorpusParseError(line, f"expect.row must be a string, got {expect['row']!r}")
+    try:
+        KodairaType.parse(expect.get("kodaira", "I0"))
+    except InputError as exc:
+        raise CorpusParseError(line, f"expect.kodaira: {exc}") from exc
+
+
 def _parse_entry(obj, line: int) -> CorpusEntry:
     if not isinstance(obj, dict):
         raise CorpusParseError(line, "entry must be a JSON object")
@@ -76,9 +93,12 @@ def _parse_entry(obj, line: int) -> CorpusEntry:
     if not isinstance(prime, int) or not is_prime(prime):
         raise CorpusParseError(line, f"'prime' must be a prime integer, got {prime!r}")
     expect = obj.get("expect")
-    if expect is not None and not isinstance(expect, dict):
-        raise CorpusParseError(line, "'expect' must be an object")
-    flags = tuple(obj.get("flags", ()))
+    if expect is not None:
+        _check_expect_block(expect, line)
+    flags = obj.get("flags", [])
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        raise CorpusParseError(line, f"'flags' must be a list of strings, got {flags!r}")
+    flags = tuple(flags)
     entry = CorpusEntry(label, tuple(str(s) for s in a),
                         (str(point[0]), str(point[1])), prime, expect, flags, line)
     try:
@@ -170,12 +190,13 @@ class EntryReport:
 _STRUCTURAL_INDEX = 24
 
 
-def _structural_checks(report: EntryReport, tate, prof, p: int, seq):
+def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
+                       scan) -> None:
     """Per-entry identity suite; failures are appended to the report.
 
     ``seq`` is the oracle's table on the minimal model, built to index 24
-    or beyond.  Returns the unit-exponent scan on good reduction (else
-    None), so that the staircase parameters need not run it again.
+    or beyond; ``scan`` is the unit-exponent scan of a non-singular point
+    (every point on good reduction is one), else None.
     """
     model = tate.minimal_model
     pt = prof.point
@@ -235,16 +256,12 @@ def _structural_checks(report: EntryReport, tate, prof, p: int, seq):
             fail("singular-criterion-normalized")
 
     # staircase parameter identities
-    q = mul(model, prof.n_p, pt)
+    q = prof.multiple_np
     if val(q.x, p) >= 0 or val(q.x, p) != -2 * (val(q.x, p) - val(q.y, p)):
         # s_P = v(x/y) = -v(x([n_P]P))/2
         fail("s-identity", f"v(x)={val(q.x, p)} v(y)={val(q.y, p)}")
-    if tate.reduction == "good":
-        scan = unit_exponent_scan(model, p)
-        if scan.b not in (p, p * p):
-            fail("good-reduction-b", f"b={scan.b}")
-        return scan
-    return None
+    if tate.reduction == "good" and scan.b not in (p, p * p):
+        fail("good-reduction-b", f"b={scan.b}")
 
 
 def _prediction_checks(report: EntryReport, tate, prof, rows, scan) -> None:
@@ -321,7 +338,9 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
                     {"n": n, "kFormula": kf, "kDirect": val_to_json(k)})
         if prof.singular:
             table_decomposition(prof)  # raises InternalError on inconsistency
-        scan = _structural_checks(report, tate, prof, entry.prime, seq)
+        scan = (None if prof.singular
+                else unit_exponent_scan(tate.minimal_model, entry.prime))
+        _structural_checks(report, tate, prof, entry.prime, seq, scan)
         _prediction_checks(report, tate, prof, rows, scan)
         _check_expect(report, entry, tate, prof, row)
     except ToolkitError as exc:

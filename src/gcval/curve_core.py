@@ -1,4 +1,4 @@
-"""Weierstrass models, derived quantities, coordinate changes, and the group law.
+"""Weierstrass models and their invariants, coordinate changes, and the group law.
 
 Everything is done on the full five-coefficient form y^2 + a1*x*y + a3*y =
 x^3 + a2*x^2 + a4*x + a6, never on a completed square, so that p = 2 and
@@ -7,10 +7,10 @@ p = 3 ride the same code path as every other prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError, InternalError, SingularCurveError, TorsionPointError
+from .errors import InputError, SingularCurveError, TorsionPointError
 from .exact_numbers import Rational, format_rational, parse_rational, val
 
 
@@ -26,16 +26,42 @@ def as_rational(x) -> Fraction:
 
 @dataclass(frozen=True)
 class WeierstrassModel:
+    """A Weierstrass model with its b-, c- and discriminant invariants.
+
+    The invariants are computed once, by the constructor, and take no part
+    in equality, hashing or repr: a model is its five coefficients.
+    """
+
     a1: Rational
     a2: Rational
     a3: Rational
     a4: Rational
     a6: Rational
+    b2: Rational = field(init=False, compare=False, repr=False)
+    b4: Rational = field(init=False, compare=False, repr=False)
+    b6: Rational = field(init=False, compare=False, repr=False)
+    b8: Rational = field(init=False, compare=False, repr=False)
+    c4: Rational = field(init=False, compare=False, repr=False)
+    c6: Rational = field(init=False, compare=False, repr=False)
+    delta: Rational = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if self.discriminant() == 0:
+        a1, a2, a3, a4, a6 = self.coefficients()
+        b2 = a1 * a1 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        invariants = {
+            "b2": b2, "b4": b4, "b6": b6, "b8": b8,
+            "c4": b2 * b2 - 24 * b4,
+            "c6": -(b2 ** 3) + 36 * b2 * b4 - 216 * b6,
+            "delta": -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6,
+        }
+        for name, value in invariants.items():
+            object.__setattr__(self, name, value)
+        if self.delta == 0:
             raise SingularCurveError(
                 f"zero discriminant: a = {tuple(map(str, self.coefficients()))}"
             )
@@ -43,51 +69,11 @@ class WeierstrassModel:
     def coefficients(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def b_quantities(self):
-        a1, a2, a3, a4, a6 = self.coefficients()
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
-
-    def discriminant(self) -> Rational:
-        b2, b4, b6, b8 = self.b_quantities()
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
     def to_strings(self):
         return tuple(format_rational(a) for a in self.coefficients())
 
     def __str__(self):
         return "(" + ",".join(self.to_strings()) + ")"
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    b2: Rational
-    b4: Rational
-    b6: Rational
-    b8: Rational
-    c4: Rational
-    c6: Rational
-    delta: Rational
-    j: Rational
-
-
-def derive(model: WeierstrassModel) -> DerivedQuantities:
-    """All eight derived quantities, with the defining identities asserted."""
-    b2, b4, b6, b8 = model.b_quantities()
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
-    delta = model.discriminant()  # non-zero: the model's constructor checks it
-    j = c4 ** 3 / delta
-    if 4 * b8 != b2 * b6 - b4 * b4:
-        raise InternalError("4*b8 != b2*b6 - b4^2")
-    if 1728 * delta != c4 ** 3 - c6 * c6:
-        raise InternalError("1728*delta != c4^3 - c6^2")
-    if j * delta != c4 ** 3:
-        raise InternalError("j*delta != c4^3")
-    return DerivedQuantities(b2, b4, b6, b8, c4, c6, delta, j)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curve_core import Point, WeierstrassModel, derive, require_on_curve
+from .curve_core import Point, WeierstrassModel, require_on_curve
 from .errors import InputError, InternalError, TwoTorsionError
 from .exact_numbers import Rational
 
@@ -24,23 +24,21 @@ def psi2_value(model: WeierstrassModel, point: Point) -> Rational:
 
 def psi2_squared_x(model: WeierstrassModel, x) -> Rational:
     """(psi_2)^2 as a function of x alone: 4x^3 + b2 x^2 + 2 b4 x + b6."""
-    b2, b4, b6, _ = model.b_quantities()
     x = Fraction(x)
-    return 4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6
+    return 4 * x ** 3 + model.b2 * x * x + 2 * model.b4 * x + model.b6
 
 
 def psi3_value(model: WeierstrassModel, point: Point) -> Rational:
     """psi_3 = 3x^4 + b2 x^3 + 3 b4 x^2 + 3 b6 x + b8."""
-    b2, b4, b6, b8 = model.b_quantities()
+    b2, b4, b6, b8 = model.b2, model.b4, model.b6, model.b8
     x = point.x
     return 3 * x ** 4 + b2 * x ** 3 + 3 * b4 * x * x + 3 * b6 * x + b8
 
 
 def phi2_x(model: WeierstrassModel, x) -> Rational:
     """phi_2 as a function of x alone: x^4 - b4 x^2 - 2 b6 x - b8."""
-    _, b4, b6, b8 = model.b_quantities()
     x = Fraction(x)
-    return x ** 4 - b4 * x * x - 2 * b6 * x - b8
+    return x ** 4 - model.b4 * x * x - 2 * model.b6 * x - model.b8
 
 
 @dataclass(frozen=True)
@@ -77,13 +75,12 @@ def psi_sequence(model: WeierstrassModel, point: Point, n_max: int) -> DivPolySe
     require_on_curve(model, point)
     if point.is_infinity:
         raise InputError("division polynomial values need an affine point")
-    d = derive(model)
     x = point.x
     psi2 = psi2_value(model, point)
     if psi2 == 0:
         raise TwoTorsionError(f"{point} is 2-torsion: psi_2(P) = 0")
 
-    b2, b4, b6, b8 = d.b2, d.b4, d.b6, d.b8
+    b2, b4, b6, b8 = model.b2, model.b4, model.b6, model.b8
     psi = {
         -1: Fraction(-1),
         0: Fraction(0),

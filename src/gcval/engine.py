@@ -239,7 +239,8 @@ def default_staircase_params(profile: ReductionProfile,
     Non-singular points read (b, h) off the multiplication-by-p series of
     the minimal model (``scan``, when the caller has already run
     unit_exponent_scan on it); singular points on multiplicative reduction
-    use the prescribed (b, h) = (p, 0).
+    use the prescribed (b, h) = (p, 0).  s_P is read at the profile's
+    [n_P]P.
     """
     t = profile.tate
     if profile.singular and t.reduction == "multiplicative":
@@ -250,7 +251,7 @@ def default_staircase_params(profile: ReductionProfile,
     else:
         raise UnsupportedCaseError(
             "no staircase parameters for singular points on additive reduction")
-    return staircase_params(t.minimal_model, profile.point, t.p, profile.n_p, b, h)
+    return staircase_params(t.minimal_model, profile.multiple_np, t.p, b, h)
 
 
 def predict_psi_val(profile: ReductionProfile, params: StaircaseParams,

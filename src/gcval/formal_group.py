@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve_core import Point, WeierstrassModel, mul
-from .errors import InputError, InternalError, TorsionPointError
+from .errors import InputError, InternalError
 from .exact_numbers import INFINITY, Valuation, check_prime, val
 
 
@@ -238,18 +238,17 @@ def _xy_valuation(point: Point, p: int) -> Valuation:
     return val(point.x, p) - val(point.y, p)
 
 
-def staircase_params(model: WeierstrassModel, point: Point, p: int, n_p: int,
+def staircase_params(model: WeierstrassModel, q: Point, p: int,
                      b: int, h: int) -> StaircaseParams:
-    """Assemble the staircase parameters for a point of infinite order.
+    """Assemble the staircase parameters of a point P of infinite order.
 
-    b and h come either from unit_exponent_scan or from the fixed values a
-    caller's formula prescribes.
+    q is [n_P]P, the first multiple of P in E_1, as
+    profile.compute_profile's walk reaches it (ReductionProfile.multiple_np);
+    s_P = v(x/y) is read at q.  b and h come either from unit_exponent_scan
+    or from the fixed values a caller's formula prescribes.
     """
     check_prime(p)
     e = 1
-    q = mul(model, n_p, point)
-    if q.is_infinity:
-        raise TorsionPointError(f"[{n_p}]P = O while reading staircase parameters")
     s = _xy_valuation(q, p)
     if s == INFINITY or s < 1:
         raise InternalError(f"v(x/y) at [n_P]P should be a positive integer, got {s}")

@@ -4,9 +4,10 @@ Collects everything the valuation formulas need: whether the point reduces
 to the singular locus, the order n_P of its reduction, the order m_P of its
 image in the component group, the component index a_P for multiplicative
 reduction, and the valuations of psi_2^2, psi_3 and phi_2 on the normalized
-model.  One walk over [1]P, ..., [n_P]P gives n_P, m_P, [2]P's singularity
-and the residues r < n_P with x([r]P) a p-adic unit, on which
-engine.predict_phi_val bases its v(phi_n) prediction.
+model.  One walk over [1]P, ..., [n_P]P gives n_P, m_P, [2]P's singularity,
+the residues r < n_P with x([r]P) a p-adic unit, on which
+engine.predict_phi_val bases its v(phi_n) prediction, and [n_P]P itself,
+from which the staircase parameters read s_P.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class ReductionProfile:
     v_phi2: Valuation
     v_x: Valuation            # v(x(P)) on the minimal model
     x_unit_residues: frozenset  # r in 1..n_P-1 with v(x([r]P)) = 0
+    multiple_np: Point        # [n_P]P on the minimal model, in E_1
 
 
 def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
@@ -140,4 +142,5 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
         v_x=v_walk[0],
         x_unit_residues=frozenset(
             r for r, v in enumerate(v_walk, start=1) if v == 0),
+        multiple_np=q,  # the walk stopped at [n_P]P
     )

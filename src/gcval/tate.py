@@ -21,12 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .curve_core import (
-    CoordinateChange,
-    WeierstrassModel,
-    apply_change,
-    derive,
-)
+from .curve_core import CoordinateChange, WeierstrassModel, apply_change
 from .errors import InputError, InternalError, NonIntegralError
 from .exact_numbers import Valuation, check_prime, val
 
@@ -56,6 +51,8 @@ class KodairaType:
 
     @classmethod
     def parse(cls, text: str) -> "KodairaType":
+        if not isinstance(text, str):
+            raise InputError(f"cannot parse Kodaira symbol {text!r}")
         text = text.strip()
         if text in _KODAIRA_FIXED:
             return cls(text)
@@ -100,18 +97,6 @@ def _poly_value(coeffs, x, p):
 def _roots_mod_p(coeffs, p):
     """Roots in F_p of a polynomial given by low-to-high coefficients."""
     return [x for x in range(p) if _poly_value(coeffs, x, p) == 0]
-
-
-def _quad_separable(a, b, c, p) -> bool:
-    """a Y^2 + b Y + c separable mod p (a a unit): disc = b^2 - 4ac != 0."""
-    return (b * b - 4 * a * c) % p != 0
-
-
-def _quad_double_root(a, b, c, p) -> int:
-    roots = _roots_mod_p([c, b, a], p)
-    if len(roots) != 1:
-        raise InternalError("inseparable quadratic without a unique root mod p")
-    return roots[0]
 
 
 def _cubic_analysis(A, B, C, p):
@@ -177,8 +162,7 @@ def _tate_pass(model: WeierstrassModel, p: int):
     """One pass of the algorithm.  Returns (kodaira, cv, split, state) or
     raises _Restart when step 11 is reached."""
     st = _PassState(model, p, CoordinateChange.identity())
-    d = derive(st.model)
-    v_delta = st.v(d.delta)
+    v_delta = st.v(st.model.delta)
 
     # Step 1: good reduction.
     if v_delta == 0:
@@ -192,10 +176,9 @@ def _tate_pass(model: WeierstrassModel, p: int):
     m = st.model
     if min(st.v(m.a3), st.v(m.a4), st.v(m.a6)) < 1:
         raise InternalError("singular-point translation failed")
-    d = derive(st.model)
 
     # Step 2: node (multiplicative reduction), type I_m with m = v(delta).
-    if st.v(d.b2) == 0:
+    if st.v(m.b2) == 0:
         mm = int(v_delta)
         a1, a2 = _fp(st.model.a1, p), _fp(st.model.a2, p)
         tangent_roots = _roots_mod_p([(-a2) % p, a1, 1], p)
@@ -208,10 +191,10 @@ def _tate_pass(model: WeierstrassModel, p: int):
     if st.v(st.model.a6) < 2:
         return KodairaType("II"), 1, None, st
     # Step 4: type III.
-    if st.v(d.b8) < 3:
+    if st.v(m.b8) < 3:
         return KodairaType("III"), 2, None, st
     # Step 5: type IV.
-    if st.v(d.b6) < 3:
+    if st.v(m.b6) < 3:
         a3_1 = _fp(st.model.a3 / p, p)
         a6_2 = _fp(st.model.a6 / p ** 2, p)
         roots = _roots_mod_p([(-a6_2) % p, a3_1, 1], p)
@@ -220,14 +203,16 @@ def _tate_pass(model: WeierstrassModel, p: int):
 
     # Step 6 entry: normalize so v(a1), v(a2) >= 1, v(a3) >= 2, v(a4) >= 2,
     # v(a6) >= 3.  First kill the (double) tangent direction with an s-shear,
-    # then the double root of the Y-quadratic with a t-shift.
+    # then the double root of the Y-quadratic with a t-shift.  Both
+    # quadratics are inseparable here (steps 2 and 5 ruled out the
+    # separable ones), so each has exactly one root in F_p.
     a1, a2 = _fp(st.model.a1, p), _fp(st.model.a2, p)
-    s0 = _quad_double_root(1, a1, (-a2) % p, p)
+    (s0,) = _roots_mod_p([(-a2) % p, a1, 1], p)
     if s0:
         st.translate(s=s0)
     a3_1 = _fp(st.model.a3 / p, p)
     a6_2 = _fp(st.model.a6 / p ** 2, p)
-    y1 = _quad_double_root(1, a3_1, (-a6_2) % p, p)
+    (y1,) = _roots_mod_p([(-a6_2) % p, a3_1, 1], p)
     if y1:
         st.translate(t=p * y1)
     m = st.model
@@ -257,11 +242,10 @@ def _tate_pass(model: WeierstrassModel, p: int):
     # Step 8: type IV*.
     a3_2 = _fp(st.model.a3 / p ** 2, p)
     a6_4 = _fp(st.model.a6 / p ** 4, p)
-    if _quad_separable(1, a3_2, (-a6_4) % p, p):
-        roots = _roots_mod_p([(-a6_4) % p, a3_2, 1], p)
-        cv = 3 if len(roots) == 2 else 1
-        return KodairaType("IV*"), cv, None, st
-    y2 = _quad_double_root(1, a3_2, (-a6_4) % p, p)
+    roots = _roots_mod_p([(-a6_4) % p, a3_2, 1], p)
+    if len(roots) != 1:
+        return KodairaType("IV*"), 3 if roots else 1, None, st
+    (y2,) = roots
     if y2:
         st.translate(t=p * p * y2)
     m = st.model
@@ -292,10 +276,10 @@ def _istar_subloop(st: _PassState, v_delta: int):
             # quadratic Y^2 + (a3/p^k) Y - a6/p^(n+3)
             bb = _fp(model.a3 / p ** k, p)
             cc = (-_fp(model.a6 / p ** (n + 3), p)) % p
-            if _quad_separable(1, bb, cc, p):
-                cv = 4 if len(_roots_mod_p([cc, bb, 1], p)) == 2 else 2
-                return KodairaType("I*", n), cv, None, st
-            root = _quad_double_root(1, bb, cc, p)
+            roots = _roots_mod_p([cc, bb, 1], p)
+            if len(roots) != 1:
+                return KodairaType("I*", n), 4 if roots else 2, None, st
+            (root,) = roots
             if root:
                 st.translate(t=p ** k * root)
         else:
@@ -304,10 +288,10 @@ def _istar_subloop(st: _PassState, v_delta: int):
             aa = _fp(model.a2 / p, p)
             bb = _fp(model.a4 / p ** k, p)
             cc = _fp(model.a6 / p ** (n + 3), p)
-            if _quad_separable(aa, bb, cc, p):
-                cv = 4 if len(_roots_mod_p([cc, bb, aa], p)) == 2 else 2
-                return KodairaType("I*", n), cv, None, st
-            root = _quad_double_root(aa, bb, cc, p)
+            roots = _roots_mod_p([cc, bb, aa], p)
+            if len(roots) != 1:
+                return KodairaType("I*", n), 4 if roots else 2, None, st
+            (root,) = roots
             if root:
                 st.translate(r=p ** (n // 2 + 1) * root)
         n += 1
@@ -324,7 +308,7 @@ def run_tate(model: WeierstrassModel, p: int) -> TateResult:
     to_minimal = CoordinateChange.identity()
     current = model
     # v(delta) drops by 12 per restart, so this bound is generous.
-    max_passes = int(val(derive(current).delta, p)) // 12 + 2
+    max_passes = int(val(current.delta, p)) // 12 + 2
     for _ in range(max_passes):
         try:
             kodaira, cv, split, st = _tate_pass(current, p)
@@ -333,10 +317,9 @@ def run_tate(model: WeierstrassModel, p: int) -> TateResult:
             current = apply_change(restart.state.model, step)
             to_minimal = to_minimal.compose(restart.state.translations).compose(step)
             continue
-        d = derive(current)
-        v_delta = int(val(d.delta, p))
-        v_c4 = val(d.c4, p)
-        v_j = val(d.j, p)
+        v_delta = int(val(current.delta, p))
+        v_c4 = val(current.c4, p)
+        v_j = val(current.c4 ** 3 / current.delta, p)
         if kodaira.series == "I" and kodaira.m == 0:
             reduction = "good"
         elif kodaira.series == "I":

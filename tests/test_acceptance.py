@@ -261,8 +261,10 @@ def test_a8_formal_group(corpus_entries, corpus_profiles):
             scan = unit_exponent_scan(tate.minimal_model, p)
             assert scan.b in (p, p * p), (entry.label, scan.b)
             good_b.append((entry.label, scan.b))
-        # s_P = -v(x([n_P]P))/2 for every corpus entry
+        # the walk's [n_P]P is the group law's, and s_P = -v(x([n_P]P))/2
+        # for every corpus entry
         q = mul(tate.minimal_model, prof.n_p, prof.point)
+        assert prof.multiple_np == q, entry.label
         assert val(q.x, p) < 0
         assert val(q.x, p) - val(q.y, p) == -val(q.x, p) / 2, entry.label
     assert good_b

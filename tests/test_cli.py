@@ -187,10 +187,19 @@ def test_seq_sn_out_of_range_exits_2(capsys, sn):
     assert capsys.readouterr().err.startswith("error: --sn: ")
 
 
-def test_exit_2_on_malformed_input(capsys):
+def test_exit_2_on_malformed_input(tmp_path, capsys):
     assert main(["profile", "--curve", "0,0,0,0", "--prime", "5"]) == 2
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"label": "x", "a": ["0","0","1","-1","0"], '
+                    '"point": ["0","0"], "prime": 5, "flags": 3}\n')
+    capsys.readouterr()
+    assert main(["verify", "--corpus", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
     assert main(["kval", "--curve", "0,0,0,0,1", "--point", "1,1",
                  "--prime", "5", "--n-max", "3"]) == 2  # off-curve
+    for order in ("0", "-1"):
+        assert main(["formal-group", "--curve", "0,0,1,-1,0", "--prime", "2",
+                     "--order", order]) == 2
 
 
 def test_n_max_guardrail(capsys):

@@ -45,6 +45,21 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(CorpusParseError):
         load_corpus(path)
 
+    # malformed pins and flags are bad input, not failed checks
+    good = '"label": "x", "a": ["0","0","1","-1","0"], "point": ["0","0"], "prime": 5'
+    for extra in ('"expect": {"kodaira": "Q7"}', '"expect": {"kodaira": 7}',
+                  '"expect": {"cv": "2"}', '"expect": {"cv": true}',
+                  '"expect": {"mP": 1.5}', '"expect": {"row": 3}',
+                  '"expect": []', '"flags": 3', '"flags": "abc"',
+                  '"flags": ["ok", 1]'):
+        path.write_text("# comment\n{" + good + ", " + extra + "}\n")
+        with pytest.raises(CorpusParseError) as info:
+            load_corpus(path)
+        assert info.value.line == 2, extra
+    path.write_text("{" + good + ', "expect": {"kodaira": "I0", "cv": 1, '
+                    '"mP": 1, "row": "nonsingular-vx-nonneg"}, "flags": ["f"]}\n')
+    assert load_corpus(path)[0].flags == ("f",)
+
 
 def test_verify_entry_reports_mismatch_on_corrupted_profile(corpus_entries):
     # corrupting the pinned expectation must flip the entry to failing

@@ -11,7 +11,6 @@ from gcval.curve_core import (
     add,
     apply_change,
     assert_infinite_order,
-    derive,
     integralize_at,
     map_point,
     mul,
@@ -29,13 +28,21 @@ E37 = WeierstrassModel(0, 0, 1, -1, 0)        # rank 1, generator (0, 0)
 
 
 def test_derive_hand_values():
-    d = derive(E_MORDELL)
+    d = E_MORDELL
     assert (d.b2, d.b4, d.b6, d.b8) == (0, 0, 4, 0)
-    assert (d.c4, d.c6, d.delta, d.j) == (0, -864, -432, 0)
+    assert (d.c4, d.c6, d.delta) == (0, -864, -432)
     # identity instance: 1728*delta = c4^3 - c6^2
     assert 1728 * (-432) == 0 - (-864) ** 2
     # cross-check: delta = -27 b6^2 here
     assert d.delta == -27 * d.b6 ** 2
+
+
+def test_invariants_stay_out_of_equality_and_repr():
+    same = WeierstrassModel("0", 0, Fraction(1), -1, 0)
+    assert same == E37 and hash(same) == hash(E37)
+    assert repr(E37) == ("WeierstrassModel(a1=Fraction(0, 1), a2=Fraction(0, 1), "
+                         "a3=Fraction(1, 1), a4=Fraction(-1, 1), a6=Fraction(0, 1))")
+    assert str(E37) == "(0,0,1,-1,0)"
 
 
 def test_singular_curve_rejected():
@@ -51,11 +58,11 @@ def test_identity_change_is_noop():
 
 def test_scaling_change_divides_invariants():
     c = CoordinateChange(u=3)
-    d0 = derive(E37)
-    d1 = derive(apply_change(E37, c))
+    d0 = E37
+    d1 = apply_change(E37, c)
     assert d1.delta == d0.delta / 3 ** 12
     assert d1.c4 == d0.c4 / 3 ** 4
-    assert d1.j == d0.j
+    assert d1.c4 ** 3 / d1.delta == d0.c4 ** 3 / d0.delta  # j is invariant
 
 
 def test_translation_moves_points():
@@ -82,8 +89,11 @@ def test_change_round_trip(u, r, s, t):
 @given(u=units, r=small, s=small, t=small)
 def test_derived_quantities_transform(u, r, s, t):
     c = CoordinateChange(u, r, s, t)
-    d0 = derive(E37)
-    d1 = derive(apply_change(E37, c))
+    d0 = E37
+    d1 = apply_change(E37, c)
+    for d in (d0, d1):
+        assert 4 * d.b8 == d.b2 * d.b6 - d.b4 ** 2
+        assert 1728 * d.delta == d.c4 ** 3 - d.c6 ** 2
     assert d1.b2 == (d0.b2 + 12 * r) / u ** 2
     assert d1.b4 == (d0.b4 + r * d0.b2 + 6 * r * r) / u ** 4
     assert d1.b6 == (d0.b6 + 2 * r * d0.b4 + r * r * d0.b2 + 4 * r ** 3) / u ** 6

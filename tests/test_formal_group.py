@@ -127,8 +127,9 @@ def test_unit_exponent_fallback_on_additive_reduction():
 
 
 def test_staircase_params_b1():
-    prm = staircase_params(WeierstrassModel(0, 0, 0, 5, -125), Point(54, -397),
-                           5, 5, b=1, h=0)
+    # s is read at [n_P]P, here [5]P
+    model = WeierstrassModel(0, 0, 0, 5, -125)
+    prm = staircase_params(model, mul(model, 5, Point(54, -397)), 5, b=1, h=0)
     assert (prm.b, prm.j, prm.w) == (1, 0, 0)
     assert prm.s >= 1
 
@@ -138,7 +139,7 @@ def test_staircase_params_equality_case():
     # from the two point multiples
     model = WeierstrassModel(1, -1, 1, 0, 0)
     q = Point(Fraction(-1, 4), Fraction(-5, 8))
-    prm = staircase_params(model, q, 2, 1, b=2, h=0)
+    prm = staircase_params(model, q, 2, b=2, h=0)  # n_P = 1
     assert (prm.b, prm.s, prm.j) == (2, 1, 0)
     q1 = mul(model, 2, q)
     expected_w = int(val(q1.x, 2) - val(q1.y, 2)) - 2 * 1 - 0
@@ -147,7 +148,7 @@ def test_staircase_params_equality_case():
 
 def test_staircase_params_no_equality():
     prm = staircase_params(E37, Point(Fraction(1, 4), Fraction(-5, 8)),
-                           2, 1, b=4, h=0)
+                           2, b=4, h=0)  # n_P = 1
     assert (prm.b, prm.s, prm.j, prm.w) == (4, 1, 0, 0)
 
 

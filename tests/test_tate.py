@@ -182,8 +182,9 @@ def test_input_validation():
 def test_kodaira_parse_and_str():
     for text in ("I0", "I1", "I12", "II", "III", "IV", "I0*", "I7*", "IV*", "III*", "II*"):
         assert str(KodairaType.parse(text)) == text
-    with pytest.raises(InputError):
-        KodairaType.parse("V")
+    for bad in ("V", "Q7", 7, None):
+        with pytest.raises(InputError):
+            KodairaType.parse(bad)
 
 
 def test_vj_infinite_for_zero_j():
@@ -225,3 +226,29 @@ def test_cubic_analysis_matches_synthetic_division(p):
             for C in range(p):
                 assert (_cubic_analysis(A, B, C, p)
                         == _cubic_analysis_by_synthetic_division(A, B, C, p)), (A, B, C, p)
+
+
+def _quad_separable(a, b, c, p):
+    """Reference: a Y^2 + b Y + c separable mod p iff b^2 - 4ac != 0."""
+    return (b * b - 4 * a * c) % p != 0
+
+
+def _quad_double_root(a, b, c, p):
+    """Reference: the repeated root of an inseparable quadratic."""
+    roots = _roots_mod_p([c, b, a], p)
+    assert len(roots) == 1, (a, b, c, p)
+    return roots[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_quadratic_steps_match_discriminant_test(p):
+    # every quadratic over F_p with a unit leading coefficient: the Tate
+    # steps branch on the root count, which must agree with the discriminant
+    for a in range(1, p):
+        for b in range(p):
+            for c in range(p):
+                roots = _roots_mod_p([c, b, a], p)
+                if _quad_separable(a, b, c, p):
+                    assert len(roots) in (0, 2), (a, b, c, p)
+                else:
+                    assert roots == [_quad_double_root(a, b, c, p)], (a, b, c, p)
