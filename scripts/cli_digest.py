@@ -12,9 +12,11 @@ tree and diffing the two outputs:
 The command set is ``verify`` at --n-max 40, 60 and 100; for each entry of
 the bundled corpus, ``kval`` in all three modes, ``profile`` with and
 without --point, ``psi``, ``formal-group`` at its default order and at
---m 3 --order 12, and ``seq``; ``profile`` of a torsion point; and the
+--m 3 --order 12, and ``seq``; ``profile`` of a torsion point; ``kval
+--mode direct`` at the --n-max 200 guardrail on four corpus points, and
+``kval`` where phi_2(P) = 0 and on a model integral only at p; and the
 exit-2/3 error paths, among them one ``formal-group`` just above the
---order cap and ``verify`` on three malformed one-entry corpora, which the
+--order cap and ``verify`` on four malformed one-entry corpora, which the
 script writes to a temporary directory.  The argv is printed with that
 directory as ``{tmp}``, so digests from two runs compare line by line.
 """
@@ -33,18 +35,30 @@ from pathlib import Path
 from gcval.cli import main
 
 #: one-entry corpora whose single line is malformed: a Kodaira pin that is
-#: no Kodaira symbol, flags that are no list, a c_v pin that is a string
+#: no Kodaira symbol, flags that are no list, a c_v pin that is a string,
+#: misspelled pin keys
 _ENTRY = '"label": "bad", "a": ["0","0","1","-1","0"], "point": ["0","0"], "prime": 5'
 BAD_CORPORA = {
     "bad-kodaira.jsonl": "{" + _ENTRY + ', "expect": {"kodaira": "Q7"}}',
     "bad-flags.jsonl": "{" + _ENTRY + ', "flags": 3}',
     "bad-cv.jsonl": "{" + _ENTRY + ', "expect": {"cv": "2"}}',
+    "bad-key.jsonl": "{" + _ENTRY + ', "expect": {"kodaria": "I5", "CV": 9}}',
 }
 
 OTHER_COMMANDS = (
     # exit 0, off the corpus
     "formal-group --curve 1,2,3,4,5 --prime 7 --m 4 --order 20",
     "profile --curve 0,0,0,0,1 --point 2,3 --prime 5",  # a torsion point
+    # the oracle at the guardrail: IVstar-p5, I5-split-a2-p3, 37a-x10P-p2-s2
+    # and III-p5-nonsingular-point
+    "kval --curve 0,0,0,0,-15000 --point 25,25 --prime 5 --n-max 200 --mode direct",
+    "kval --curve 1,0,0,0,-243 --point 9,18 --prime 3 --n-max 200 --mode direct",
+    "kval --curve 0,0,1,-1,0 --point 161/16,-2065/64 --prime 2 --n-max 200 --mode direct",
+    "kval --curve 0,0,0,5,-125 --point 54,-397 --prime 5 --n-max 200 --mode direct",
+    # 37a translated by r = 1: x([2]P) = 0, so phi_2(P) = 0
+    "kval --curve 0,3,1,2,0 --point=-1,0 --prime 2 --n-max 40 --mode both",
+    # 37a scaled by u = 3: integral at 2 only
+    "kval --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 2 --n-max 40 --mode both",
     # exit 2: malformed input
     "profile --curve 0,0,0,0 --prime 5",
     "profile --prime 5",
@@ -61,6 +75,7 @@ OTHER_COMMANDS = (
     "verify --corpus {tmp}/bad-kodaira.jsonl",
     "verify --corpus {tmp}/bad-flags.jsonl",
     "verify --corpus {tmp}/bad-cv.jsonl",
+    "verify --corpus {tmp}/bad-key.jsonl",
     # exit 3: precondition violations
     "profile --curve 0,0,0,0,1 --prime 6",
     "profile --curve 1,0,0,0,0 --prime 5",

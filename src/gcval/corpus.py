@@ -59,11 +59,20 @@ class CorpusParseError(InputError):
         self.line = line
 
 
+#: the pins _check_expect compares; any other key is a typo that would
+#: otherwise never be checked
+_EXPECT_KEYS = ("kodaira", "cv", "mP", "row")
+
+
 def _check_expect_block(expect, line: int) -> None:
     """The pinned values must have the types _check_expect compares them as,
     so that a malformed pin reads as bad input, not as a failed check."""
     if not isinstance(expect, dict):
         raise CorpusParseError(line, "'expect' must be an object")
+    unknown = sorted(set(expect) - set(_EXPECT_KEYS))
+    if unknown:
+        raise CorpusParseError(
+            line, f"unknown expect key(s) {unknown}; known: {list(_EXPECT_KEYS)}")
     for key in ("cv", "mP"):
         value = expect.get(key, 0)
         if not isinstance(value, int) or isinstance(value, bool):
@@ -194,8 +203,8 @@ def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
                        scan) -> None:
     """Per-entry identity suite; failures are appended to the report.
 
-    ``seq`` is the oracle's table on the minimal model, built to index 24
-    or beyond; ``scan`` is the unit-exponent scan of a non-singular point
+    ``seq`` is the exact psi_n / phi_n table on the minimal model, built to
+    index 24; ``scan`` is the unit-exponent scan of a non-singular point
     (every point on good reduction is one), else None.
     """
     model = tate.minimal_model
@@ -326,11 +335,7 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
         report.v_delta = tate.v_delta
         report.n_checked = n_max
 
-        # one oracle table serves k_direct_range and the structural checks
-        seq = psi_sequence(tate.minimal_model, prof.point,
-                           max(n_max, _STRUCTURAL_INDEX))
-        rows = k_direct_range(tate.minimal_model, prof.point, entry.prime,
-                              n_max, seq=seq)
+        rows = k_direct_range(tate.minimal_model, prof.point, entry.prime, n_max)
         for (n, k, _vphi, _vpsi) in rows:
             kf = k_formula(prof, n)
             if kf != k:
@@ -340,6 +345,7 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
             table_decomposition(prof)  # raises InternalError on inconsistency
         scan = (None if prof.singular
                 else unit_exponent_scan(tate.minimal_model, entry.prime))
+        seq = psi_sequence(tate.minimal_model, prof.point, _STRUCTURAL_INDEX)
         _structural_checks(report, tate, prof, entry.prime, seq, scan)
         _prediction_checks(report, tate, prof, rows, scan)
         _check_expect(report, entry, tate, prof, row)

@@ -1,20 +1,36 @@
 """Division polynomial values psi_n(P) and companions phi_n(P) at a point.
 
-Evaluation is numeric at the point (exact rationals), never symbolic: only
-valuations of the values are needed downstream, and symbolic coefficients
-blow up.  The table is built bottom-up from the printed bases psi_1..psi_4,
-extended below index 1 by psi_0 = 0 and psi_-1 = -1 so the recurrences hold
-at the margins without special cases.
+Evaluation is numeric at the point, never symbolic: symbolic coefficients
+blow up.  Every table is built bottom-up from the printed bases
+psi_1..psi_4, extended below index 1 by psi_0 = 0 and psi_-1 = -1 so the
+recurrences hold at the margins without special cases.
+
+``psi_sequence`` keeps the values as exact rationals; ``gcval psi`` prints
+them and the structural checks compare them.  ``psi_phi_valuations`` is
+the oracle's path, which only needs v_p(psi_n) and v_p(phi_n).  On an
+integral model with x(P) = X/e^2 it runs the same recurrences on the
+integers W_n = e^(n^2-1) psi_n, each held as p^k U with p not dividing U:
+a product adds exponents, and a difference of two terms whose exponents
+differ has a known exponent, so the p-part is split off only when they
+tie.  Phi_n = X W_n^2 - W_(n-1) W_(n+1) is formed only on such a tie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt, lcm
 
-from .curve_core import Point, WeierstrassModel, require_on_curve
+from .curve_core import (
+    CoordinateChange,
+    Point,
+    WeierstrassModel,
+    apply_change,
+    map_point,
+    require_on_curve,
+)
 from .errors import InputError, InternalError, TwoTorsionError
-from .exact_numbers import Rational
+from .exact_numbers import INFINITY, Rational, Valuation, check_prime, p_split
 
 
 def psi2_value(model: WeierstrassModel, point: Point) -> Rational:
@@ -111,3 +127,73 @@ def psi_sequence(model: WeierstrassModel, point: Point, n_max: int) -> DivPolySe
 
     return DivPolySequence(model, point, n_max, psi, phi)
 
+
+#: zero as a p-split integer (k, U): every product with it stays zero
+_ZERO = (INFINITY, 0)
+
+
+def _sub(a: tuple, b: tuple, p: int) -> tuple:
+    """a - b for p-split integers a = p^ka Ua and b = p^kb Ub."""
+    (ka, ua), (kb, ub) = a, b
+    if ka < kb:
+        return a if ub == 0 else (ka, ua - p ** (kb - ka) * ub)
+    if kb < ka:
+        return (kb, -ub) if ua == 0 else (kb, ua * p ** (ka - kb) - ub)
+    d = ua - ub
+    if d == 0:
+        return _ZERO
+    t, u = p_split(d, p)
+    return ka + t, u
+
+
+def psi_phi_valuations(model: WeierstrassModel, point: Point, p: int,
+                       n_max: int) -> list[tuple[int, Valuation, Valuation]]:
+    """[(n, v_p(phi_n(P)), v_p(psi_n(P)))] for n = 1..n_max.
+
+    A model whose a-invariants have denominators is first scaled by
+    u = lcm(denominators), which multiplies psi_n by u^(n^2-1) and phi_n
+    by u^(2n^2); on a p-integral model v_p(u) = 0.  Then x(P) = X/e^2 and
+    W_n = (ue)^(n^2-1) psi_n and Phi_n = (ue)^(2n^2) phi_n =
+    X W_n^2 - W_(n-1) W_(n+1) are integers that satisfy the psi and phi
+    recurrences; the even step divides exactly by W_2.  The bases and
+    their checks (on the curve, not 2-torsion) come from psi_sequence.
+    """
+    if n_max < 1:
+        raise InputError(f"n_max must be >= 1, got {n_max}")
+    check_prime(p)
+    u = lcm(*(a.denominator for a in model.coefficients()))
+    if u > 1:
+        change = CoordinateChange(u=Fraction(1, u))
+        model, point = apply_change(model, change), map_point(change, point)
+    base = psi_sequence(model, point, 3)
+    e = isqrt(point.x.denominator)
+    scaled = [point.x * e * e] + [base.psi(n) * e ** (n * n - 1) for n in range(1, 5)]
+    if any(q.denominator != 1 for q in scaled):
+        raise InternalError(f"{point} is not X/e^2, Y/e^3 on the integral model {model}")
+    big_x, *seeds = (_ZERO if q == 0 else p_split(q.numerator, p) for q in scaled)
+    w = [(0, -1), _ZERO, *seeds]  # W_n at index n + 1, from W_-1 = -1 and W_0 = 0
+    k2, u2 = w[3]
+    for n in range(5, n_max + 2):
+        m = n // 2
+        (ka, ua), (kb, ub), (kc, uc), (kd, ud) = (
+            w[m + 3], w[m + 1], w[m], w[m + 2])  # W_(m+2), W_m, W_(m-1), W_(m+1)
+        if n % 2:
+            w.append(_sub((ka + 3 * kb, ua * ub ** 3), (kc + 3 * kd, uc * ud ** 3), p))
+        else:
+            ke, ue = w[m - 1]  # W_(m-2)
+            k, num = _sub((ka + 2 * kc, ua * uc * uc), (ke + 2 * kd, ue * ud * ud), p)
+            k, num = k + kb, num * ub  # zero when k is INFINITY
+            q, r = divmod(num, u2)
+            if r:
+                raise InternalError(f"W_2 does not divide the even step at n = {n}")
+            w.append((k - k2, q))
+
+    v_scale = p_split(u * e, p)[0]
+    kx, ux = big_x
+    out = []
+    for n in range(1, n_max + 1):
+        (kl, ul), (kn, un), (kr, ur) = w[n], w[n + 1], w[n + 2]
+        ka, kb = kx + 2 * kn, kl + kr  # exponents of X W_n^2 and W_(n-1) W_(n+1)
+        k_phi = min(ka, kb) if ka != kb else _sub((ka, ux * un * un), (kb, ul * ur), p)[0]
+        out.append((n, k_phi - 2 * n * n * v_scale, kn - (n * n - 1) * v_scale))
+    return out

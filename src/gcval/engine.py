@@ -2,8 +2,9 @@
 
 Two independent routes are provided and must agree:
 
-* ``k_direct_range`` -- the ground-truth oracle: build the
-  division-polynomial values at the point and take the min of the two
+* ``k_direct_range`` -- the ground-truth oracle: run the
+  division-polynomial recurrences at the point on p-split integers
+  (``divpoly.psi_phi_valuations``) and take the min of the two
   valuations, for n = 1..n_max;
 * ``k_formula`` -- the closed form, dispatched on the reduction profile
   (non-singular branch, multiplicative branch via r_n, additive branches
@@ -21,14 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve_core import Point, WeierstrassModel
-from .divpoly import DivPolySequence, psi_sequence
+from .divpoly import psi_phi_valuations
 from .errors import (
     InputError,
     InternalError,
     PreconditionError,
     UnsupportedCaseError,
 )
-from .exact_numbers import INFINITY, Valuation, val
+from .exact_numbers import INFINITY, Valuation
 from .formal_group import (
     StaircaseParams,
     UnitExponentScan,
@@ -107,24 +108,14 @@ def row_is_flagged(row: str) -> bool:
     return row in FLAGGED_ROWS
 
 
-def k_direct_range(model: WeierstrassModel, point: Point, p: int, n_max: int,
-                   seq: DivPolySequence | None = None):
-    """[(n, k, v_phi, v_psi_sq)] for n = 1..n_max, sharing one table.
+def k_direct_range(model: WeierstrassModel, point: Point, p: int, n_max: int):
+    """[(n, k, v_phi, v_psi_sq)] for n = 1..n_max, from one p-split table.
 
-    ``seq`` may be a table for this model and point built to n_max or
-    beyond.  The point's infinite order is the caller's to assert
-    (compute_profile does it on the same minimal-model point).
+    The point's infinite order is the caller's to assert (compute_profile
+    does it on the same minimal-model point).
     """
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max}")
-    seq = seq or psi_sequence(model, point, n_max)
-    out = []
-    for n in range(1, n_max + 1):
-        v_phi = val(seq.phi(n), p)
-        psi = seq.psi(n)
-        v_psi_sq = 2 * val(psi, p) if psi != 0 else INFINITY
-        out.append((n, min(v_phi, v_psi_sq), v_phi, v_psi_sq))
-    return out
+    return [(n, min(v_phi, 2 * v_psi), v_phi, 2 * v_psi)
+            for n, v_phi, v_psi in psi_phi_valuations(model, point, p, n_max)]
 
 
 def _exact_int(numerator: int, denominator: int) -> int:

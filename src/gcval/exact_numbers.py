@@ -5,13 +5,14 @@ which already guarantees lowest terms and a positive denominator.  This
 module adds the p-adic valuation (with a distinguished infinity for the
 valuation of 0) and the string forms used in corpus files and CLI output.
 
-The valuation is the hot path of the division-polynomial oracle, where
-v(psi_n) and v(phi_n) reach the thousands.  It climbs a squaring ladder:
-divide by p, p^2, p^4, ... while the division is exact, then by the same
-powers from the top down.  That is O(log v) big-integer divisions instead
-of the v single-factor divisions of stripping p one at a time, each of
-which costs time linear in the operand's size.  For p = 2 the exponent is
-read off the lowest set bit.
+``p_split`` splits a non-zero integer into p^v times a unit; both the
+valuation and the division-polynomial oracle's p-split integers use it,
+where v reaches the thousands.  It climbs a squaring ladder: divide by p,
+p^2, p^4, ... while the division is exact, then by the same powers from
+the top down.  That is O(log v) big-integer divisions instead of the v
+single-factor divisions of stripping p one at a time, each of which costs
+time linear in the operand's size.  For p = 2 the exponent is read off the
+lowest set bit.
 """
 
 from __future__ import annotations
@@ -68,15 +69,16 @@ def check_prime(p) -> int:
     return p
 
 
-def _exponent(n: int, p: int) -> int:
-    """Exponent of the prime p in the non-zero integer n.
+def p_split(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) with v the exponent of the prime p in the non-zero integer n.
 
     Climbs a squaring ladder: divides by p, p^2, p^4, ... while the
     division is exact, then by the same powers from the top down, so a
     valuation v costs O(log v) big-integer divisions.
     """
     if p == 2:
-        return (n & -n).bit_length() - 1
+        v = (n & -n).bit_length() - 1
+        return v, n >> v
     powers = []
     pk = p
     while True:
@@ -94,7 +96,7 @@ def _exponent(n: int, p: int) -> int:
         if not r:
             n = q
             v += 1 << k
-    return v
+    return v, n
 
 
 def val(q, p: int) -> Valuation:
@@ -108,10 +110,10 @@ def val(q, p: int) -> Valuation:
     q = Fraction(q)
     if q == 0:
         return INFINITY
-    v = _exponent(q.numerator, p)
+    v = p_split(q.numerator, p)[0]
     if v:
         return v  # q is in lowest terms, so p cannot also divide den
-    return -_exponent(q.denominator, p)
+    return -p_split(q.denominator, p)[0]
 
 
 def int_val(q, p: int) -> int:

@@ -195,6 +195,11 @@ def test_exit_2_on_malformed_input(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--corpus", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: line 1: ")
+    path.write_text('{"label": "x", "a": ["0","0","1","-1","0"], "point": ["0","0"], '
+                    '"prime": 5, "expect": {"kodaria": "I5", "CV": 9}}\n')
+    assert main(["verify", "--corpus", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: unknown expect key") and err.count("\n") == 1
     assert main(["kval", "--curve", "0,0,0,0,1", "--point", "1,1",
                  "--prime", "5", "--n-max", "3"]) == 2  # off-curve
     for order in ("0", "-1"):

@@ -51,7 +51,8 @@ def test_parse_errors_carry_line_numbers(tmp_path):
                   '"expect": {"cv": "2"}', '"expect": {"cv": true}',
                   '"expect": {"mP": 1.5}', '"expect": {"row": 3}',
                   '"expect": []', '"flags": 3', '"flags": "abc"',
-                  '"flags": ["ok", 1]'):
+                  '"flags": ["ok", 1]', '"expect": {"kodaria": "I5", "CV": 9}',
+                  '"expect": {"cv": 1, "m_P": 1}'):
         path.write_text("# comment\n{" + good + ", " + extra + "}\n")
         with pytest.raises(CorpusParseError) as info:
             load_corpus(path)

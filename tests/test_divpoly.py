@@ -1,16 +1,28 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from gcval.curve_core import Point, WeierstrassModel, mul
+from gcval.curve_core import (
+    CoordinateChange,
+    Point,
+    WeierstrassModel,
+    apply_change,
+    map_point,
+    mul,
+)
 from gcval.divpoly import (
     phi2_x,
     psi2_squared_x,
     psi2_value,
     psi3_value,
+    psi_phi_valuations,
     psi_sequence,
 )
-from gcval.errors import InputError, TwoTorsionError
+from gcval.engine import k_direct_range
+from gcval.errors import InputError, NonPrimeError, SingularCurveError, TwoTorsionError
+from gcval.exact_numbers import INFINITY, val
 
 E_MORDELL = WeierstrassModel(0, 0, 0, 0, 1)
 E37 = WeierstrassModel(0, 0, 1, -1, 0)
@@ -97,3 +109,101 @@ def test_rational_point_with_denominators():
     for n in range(1, 9):
         r = mul(E37, n, q)
         assert r.x * seq.psi_squared(n) == seq.phi(n)
+
+
+# --- the p-split integer oracle against the exact table -------------------
+
+def _reference(model, point, p, n_max):
+    """(n, v(phi_n), v(psi_n)) read off the Fraction table with val."""
+    seq = psi_sequence(model, point, n_max)
+    return [(n, val(seq.phi(n), p), val(seq.psi(n), p)) for n in range(1, n_max + 1)]
+
+
+#: 37a translated by r = 1: [2](0, 0) = (1, 0) moves to x = 0, so phi_2 = 0
+E37_R1 = apply_change(E37, CoordinateChange(r=1))
+P37_R1 = map_point(CoordinateChange(r=1), P37)
+#: 37a translated by r = 1 - p^k: x([2](0, 0)) moves to p^k, so the two
+#: terms of Phi_2 tie at exponent 0 and their difference is p^k; once at
+#: p = 2 with k = 29, once with k = 1 at a prime above 2^30
+P_BIG = 2 ** 31 - 1
+E37_2K = apply_change(E37, CoordinateChange(r=1 - 2 ** 29))
+P37_2K = map_point(CoordinateChange(r=1 - 2 ** 29), P37)
+E37_PBIG = apply_change(E37, CoordinateChange(r=1 - P_BIG))
+P37_PBIG = map_point(CoordinateChange(r=1 - P_BIG), P37)
+#: 37a scaled by u = 3: integral at 2 but not over Z
+E37_U3 = WeierstrassModel(0, 0, Fraction(1, 27), Fraction(-1, 81), 0)
+#: the 37a point [5](0, 0), in E_1 at p = 2 (x = 1/2^2)
+P37_5 = Point(Fraction(1, 4), Fraction(-5, 8))
+
+
+@st.composite
+def curve_point_prime(draw):
+    """A point first, then a curve through it.
+
+    x = t^2/e^2 and y = t^3/e^3 with a_i = e^(6-i) a_i' keep the model
+    integral (e^6 divides every term of a6's numerator); e = p^j c puts the
+    point in E_1 when j > 0.  An integral translation (r, s, t) varies the
+    model, and a scaling by u prime to p leaves it integral only at p.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = p ** draw(st.integers(0, 2)) * draw(st.integers(1, 3))
+    t = draw(st.integers(-9, 9).filter(bool))
+    a1, a2, a3, a4 = (draw(st.integers(-4, 4)) * e ** (6 - i) for i in (1, 2, 3, 4))
+    x, y = Fraction(t * t, e * e), Fraction(t ** 3, e ** 3)
+    a6 = y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x
+    u = draw(st.sampled_from([q for q in (1, 2, 3, 5) if q % p]))
+    change = CoordinateChange(u, *(draw(st.integers(-3, 3)) for _ in range(3)))
+    try:
+        model = apply_change(WeierstrassModel(a1, a2, a3, a4, a6), change)
+    except SingularCurveError:
+        reject()
+    return model, map_point(change, Point(x, y)), p
+
+
+@settings(max_examples=120, deadline=None)
+@given(triple=curve_point_prime(), n_max=st.integers(1, 24))
+@example(triple=(E_MORDELL, P_M, 2), n_max=12)   # v(W_2) = 1, psi_6 = 0
+@example(triple=(E_MORDELL, P_M, 3), n_max=12)   # v(W_2) = 1 at p = 3
+@example(triple=(E37, P37_5, 2), n_max=20)        # v(e) = 1
+@example(triple=(E37_U3, P37, 2), n_max=20)       # integral only at 2
+@example(triple=(E37_U3, P37, 3), n_max=12)       # not integral at p
+@example(triple=(E37_R1, P37_R1, 2), n_max=12)    # phi_2 = 0
+@example(triple=(E37_2K, P37_2K, 2), n_max=12)    # v(phi_2) = 29
+@example(triple=(E37_PBIG, P37_PBIG, P_BIG), n_max=6)  # v(phi_2) = 1
+def test_oracle_matches_fraction_table(triple, n_max):
+    model, point, p = triple
+    try:
+        want = _reference(model, point, p, n_max)
+    except TwoTorsionError:
+        reject()
+    assert psi_phi_valuations(model, point, p, n_max) == want
+
+
+def test_oracle_examples_hit_their_edges():
+    assert psi_phi_valuations(E37_R1, P37_R1, 2, 2)[1] == (2, INFINITY, 0)
+    assert psi_phi_valuations(E37_2K, P37_2K, 2, 2)[1] == (2, 29, 0)
+    assert psi_phi_valuations(E37_PBIG, P37_PBIG, P_BIG, 2)[1] == (2, 1, 0)
+    assert psi_phi_valuations(E_MORDELL, P_M, 2, 6)[5][2] == INFINITY
+    assert val(psi2_value(E_MORDELL, P_M), 2) == val(psi2_value(E_MORDELL, P_M), 3) == 1
+    assert psi_phi_valuations(E37, P37_5, 2, 1) == [(1, -2, 0)]
+    assert psi_phi_valuations(E37_U3, P37, 2, 20) == psi_phi_valuations(E37, P37, 2, 20)
+
+
+def test_oracle_rejects_what_the_table_rejects():
+    with pytest.raises(InputError):
+        psi_phi_valuations(E37, P37, 2, 0)
+    with pytest.raises(InputError):
+        psi_phi_valuations(E37, Point(1, 1), 2, 3)
+    with pytest.raises(TwoTorsionError):
+        psi_phi_valuations(WeierstrassModel(0, 0, 0, -1, 0), Point(1, 0), 2, 3)
+    with pytest.raises(NonPrimeError):
+        psi_phi_valuations(E37, P37, 4, 3)
+
+
+def test_k_direct_rows_match_fraction_table_on_corpus(corpus_profiles):
+    for entry, tate, prof, _ in corpus_profiles:
+        want = [(n, min(v_phi, 2 * v_psi), v_phi, 2 * v_psi)
+                for n, v_phi, v_psi in _reference(tate.minimal_model, prof.point,
+                                                  entry.prime, 60)]
+        got = k_direct_range(tate.minimal_model, prof.point, entry.prime, 60)
+        assert got == want, entry.label
