@@ -12,7 +12,8 @@ tree and diffing the two outputs:
 The command set is ``verify`` at --n-max 40, 60 and 100; for each entry of
 the bundled corpus, ``kval`` in all three modes, ``profile`` with and
 without --point, ``psi``, ``formal-group`` at its default order and at
---m 3 --order 12, and ``seq``; ``profile`` of a torsion point; ``kval
+--m 3 --order 12, and ``seq``; ``profile`` and ``kval`` of torsion
+points, one of them a 2-torsion point in E_1, so n_P = 1 < 2; ``kval
 --mode direct`` at the --n-max 200 guardrail on four corpus points, and
 ``kval`` where phi_2(P) = 0 and on a model integral only at p; and the
 exit-2/3 error paths, among them one ``formal-group`` just above the
@@ -49,6 +50,8 @@ OTHER_COMMANDS = (
     # exit 0, off the corpus
     "formal-group --curve 1,2,3,4,5 --prime 7 --m 4 --order 20",
     "profile --curve 0,0,0,0,1 --point 2,3 --prime 5",  # a torsion point
+    # 2-torsion in E_1: the torsion guard must walk past n_P = 1
+    "profile --curve 1,-1,0,-4,3 --point 3/4,-3/8 --prime 2",
     # the oracle at the guardrail: IVstar-p5, I5-split-a2-p3, 37a-x10P-p2-s2
     # and III-p5-nonsingular-point
     "kval --curve 0,0,0,0,-15000 --point 25,25 --prime 5 --n-max 200 --mode direct",
@@ -81,6 +84,7 @@ OTHER_COMMANDS = (
     "profile --curve 1,0,0,0,0 --prime 5",
     "kval --curve 0,0,0,0,1 --point 2,3 --prime 5 --n-max 3 --mode formula",
     "kval --curve 0,0,0,0,1 --point 2,3 --prime 5 --n-max 3 --mode direct",
+    "kval --curve 1,-1,0,-4,3 --point 3/4,-3/8 --prime 2 --n-max 3 --mode both",
     "psi --curve 0,0,0,0,1 --point 2,3 --prime 4 --n-max 3",
     "seq --sn 2 1 0 1 0 4 1",
 )

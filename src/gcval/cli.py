@@ -19,6 +19,7 @@ exit 2; a non-prime P exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -270,7 +271,10 @@ def cmd_verify(args) -> int:
     return report.exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="gcval",
         description="Exact greatest common valuation of phi_n and psi_n^2 "

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .curve_core import Point, WeierstrassModel, multiples, on_curve
-from .divpoly import psi2_squared_x, psi_sequence
+from .divpoly import integral_scale, psi2_squared_x, psi_sequence
 from .engine import (
     REQUIRED_ROWS,
     classify_row,
@@ -198,6 +199,9 @@ class EntryReport:
 #: largest psi index the structural checks read (psi_{m+n} with m, n <= 12)
 _STRUCTURAL_INDEX = 24
 
+#: the x-multiple identity runs on [1]P..[20]P
+_X_MULTIPLE_INDEX = 20
+
 
 def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
                        scan) -> None:
@@ -213,21 +217,35 @@ def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
     def fail(name, detail=""):
         report.check_failures.append(f"{name}{': ' + detail if detail else ''}")
 
-    # x([n]P) psi_n^2 = phi_n for n <= 20
-    for n, q in zip(range(1, 21), multiples(model, pt)):
+    # x([n]P) psi_n^2 = phi_n for n <= 20, on the profile's walk and on
+    # its continuation past [max(16, n_P)]P
+    points = prof.walk[:_X_MULTIPLE_INDEX]
+    points += tuple(islice(multiples(model, pt, after=points[-1]),
+                           _X_MULTIPLE_INDEX - len(points)))
+    for n, q in enumerate(points, start=1):
         if q.is_infinity:
             fail("multiple-infinite", f"[{n}]P = O")
             break
         if q.x * seq.psi_squared(n) != seq.phi(n):
             fail("x-multiple-identity", f"n={n}")
-    # elliptic divisibility relation at the point
-    for mm in range(2, 13):
-        for nn in range(1, mm):
-            lhs = seq.psi(mm + nn) * seq.psi(mm - nn)
-            rhs = (seq.psi(mm + 1) * seq.psi(mm - 1) * seq.psi(nn) ** 2
-                   - seq.psi(nn + 1) * seq.psi(nn - 1) * seq.psi(mm) ** 2)
-            if lhs != rhs:
-                fail("divisibility-identity", f"(m,n)=({mm},{nn})")
+    # elliptic divisibility relation at the point, on the integers
+    # W_n = c^(n^2-1) psi_n: both sides have weight 2m^2 + 2n^2 - 2 in c
+    c = integral_scale(model, pt)
+    w = [seq.psi(0)] + [seq.psi(n) * c ** (n * n - 1)
+                        for n in range(1, _STRUCTURAL_INDEX + 1)]
+    not_integral = [n for n, q in enumerate(w) if q.denominator != 1]
+    if not_integral:
+        fail("divisibility-integrality", f"psi_n c^(n^2-1) not an integer "
+             f"at n={not_integral[0]}")
+    else:
+        w = [q.numerator for q in w]
+        for mm in range(2, 13):
+            for nn in range(1, mm):
+                lhs = w[mm + nn] * w[mm - nn]
+                rhs = (w[mm + 1] * w[mm - 1] * w[nn] ** 2
+                       - w[nn + 1] * w[nn - 1] * w[mm] ** 2)
+                if lhs != rhs:
+                    fail("divisibility-identity", f"(m,n)=({mm},{nn})")
 
     # reduction-type consistency (run_tate has already checked the I_m and
     # I_m* valuation relations on this result)
@@ -266,9 +284,10 @@ def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
 
     # staircase parameter identities
     q = prof.multiple_np
-    if val(q.x, p) >= 0 or val(q.x, p) != -2 * (val(q.x, p) - val(q.y, p)):
+    vx, vy = val(q.x, p), val(q.y, p)
+    if vx >= 0 or vx != -2 * (vx - vy):
         # s_P = v(x/y) = -v(x([n_P]P))/2
-        fail("s-identity", f"v(x)={val(q.x, p)} v(y)={val(q.y, p)}")
+        fail("s-identity", f"v(x)={vx} v(y)={vy}")
     if tate.reduction == "good" and scan.b not in (p, p * p):
         fail("good-reduction-b", f"b={scan.b}")
 

@@ -250,11 +250,15 @@ def mul(model: WeierstrassModel, n: int, point: Point) -> Point:
 TORSION_GUARD_BOUND = 16
 
 
-def multiples(model: WeierstrassModel, point: Point):
+def multiples(model: WeierstrassModel, point: Point, after: Point | None = None):
     """Yield [1]P, [2]P, [3]P, ... without end; P is checked on the curve
-    once, when the first multiple is asked for."""
-    require_on_curve(model, point)
-    acc = point
+    once, when the first multiple is asked for.  Given ``after`` = [k]P from
+    an earlier walk over the same P, yield [k+1]P, [k+2]P, ... unchecked."""
+    if after is None:
+        require_on_curve(model, point)
+        acc = point
+    else:
+        acc = _add(model, after, point)
     while True:
         yield acc
         acc = _add(model, acc, point)

@@ -13,6 +13,8 @@ integers W_n = e^(n^2-1) psi_n, each held as p^k U with p not dividing U:
 a product adds exponents, and a difference of two terms whose exponents
 differ has a known exponent, so the p-part is split off only when they
 tie.  Phi_n = X W_n^2 - W_(n-1) W_(n+1) is formed only on such a tie.
+``integral_scale`` gives e (times the model's denominators); the
+structural checks use it to run the divisibility identity on W_n too.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .curve_core import (
-    CoordinateChange,
-    Point,
-    WeierstrassModel,
-    apply_change,
-    map_point,
-    require_on_curve,
-)
+from .curve_core import Point, WeierstrassModel, require_on_curve
 from .errors import InputError, InternalError, TwoTorsionError
 from .exact_numbers import INFINITY, Rational, Valuation, check_prime, p_split
 
@@ -146,30 +141,36 @@ def _sub(a: tuple, b: tuple, p: int) -> tuple:
     return ka + t, u
 
 
+def integral_scale(model: WeierstrassModel, point: Point) -> int:
+    """c such that W_n = c^(n^2-1) psi_n(P) and X = c^2 x(P) are integers.
+
+    Scaling the model by u = lcm(denominators of the a-invariants)
+    multiplies psi_n by u^(n^2-1) and x by u^2, and on the integral model
+    u^2 x(P) = X/e^2; then c = u e.  On a p-integral model v_p(u) = 0.
+    """
+    u = lcm(*(a.denominator for a in model.coefficients()))
+    return u * isqrt((u * u * point.x).denominator)
+
+
 def psi_phi_valuations(model: WeierstrassModel, point: Point, p: int,
                        n_max: int) -> list[tuple[int, Valuation, Valuation]]:
     """[(n, v_p(phi_n(P)), v_p(psi_n(P)))] for n = 1..n_max.
 
-    A model whose a-invariants have denominators is first scaled by
-    u = lcm(denominators), which multiplies psi_n by u^(n^2-1) and phi_n
-    by u^(2n^2); on a p-integral model v_p(u) = 0.  Then x(P) = X/e^2 and
-    W_n = (ue)^(n^2-1) psi_n and Phi_n = (ue)^(2n^2) phi_n =
-    X W_n^2 - W_(n-1) W_(n+1) are integers that satisfy the psi and phi
-    recurrences; the even step divides exactly by W_2.  The bases and
-    their checks (on the curve, not 2-torsion) come from psi_sequence.
+    With c = integral_scale(model, point), the integers W_n =
+    c^(n^2-1) psi_n and Phi_n = c^(2n^2) phi_n = X W_n^2 - W_(n-1) W_(n+1)
+    satisfy the psi and phi recurrences; the even step divides exactly by
+    W_2.  The bases and their checks (on the curve, not 2-torsion) come
+    from psi_sequence.
     """
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
     check_prime(p)
-    u = lcm(*(a.denominator for a in model.coefficients()))
-    if u > 1:
-        change = CoordinateChange(u=Fraction(1, u))
-        model, point = apply_change(model, change), map_point(change, point)
     base = psi_sequence(model, point, 3)
-    e = isqrt(point.x.denominator)
-    scaled = [point.x * e * e] + [base.psi(n) * e ** (n * n - 1) for n in range(1, 5)]
+    c = integral_scale(model, point)
+    scaled = [point.x * c * c] + [base.psi(n) * c ** (n * n - 1) for n in range(1, 5)]
     if any(q.denominator != 1 for q in scaled):
-        raise InternalError(f"{point} is not X/e^2, Y/e^3 on the integral model {model}")
+        raise InternalError(f"{point} is not X/e^2, Y/e^3 on the integral model "
+                            f"of {model}")
     big_x, *seeds = (_ZERO if q == 0 else p_split(q.numerator, p) for q in scaled)
     w = [(0, -1), _ZERO, *seeds]  # W_n at index n + 1, from W_-1 = -1 and W_0 = 0
     k2, u2 = w[3]
@@ -188,7 +189,7 @@ def psi_phi_valuations(model: WeierstrassModel, point: Point, p: int,
                 raise InternalError(f"W_2 does not divide the even step at n = {n}")
             w.append((k - k2, q))
 
-    v_scale = p_split(u * e, p)[0]
+    v_scale = p_split(c, p)[0]
     kx, ux = big_x
     out = []
     for n in range(1, n_max + 1):

@@ -4,10 +4,12 @@ Collects everything the valuation formulas need: whether the point reduces
 to the singular locus, the order n_P of its reduction, the order m_P of its
 image in the component group, the component index a_P for multiplicative
 reduction, and the valuations of psi_2^2, psi_3 and phi_2 on the normalized
-model.  One walk over [1]P, ..., [n_P]P gives n_P, m_P, [2]P's singularity,
-the residues r < n_P with x([r]P) a p-adic unit, on which
-engine.predict_phi_val bases its v(phi_n) prediction, and [n_P]P itself,
-from which the staircase parameters read s_P.
+model.  One walk over [1]P, ..., [max(16, n_P)]P is also the torsion
+guard, and gives n_P, m_P, [2]P's singularity, the residues r < n_P with
+x([r]P) a p-adic unit, on which engine.predict_phi_val bases its v(phi_n)
+prediction, and the walked points themselves: [n_P]P, from which the
+staircase parameters read s_P, and the multiples the structural checks
+compare with the division polynomials.
 """
 
 from __future__ import annotations
@@ -16,15 +18,15 @@ import math
 from dataclasses import dataclass
 
 from .curve_core import (
+    TORSION_GUARD_BOUND,
     Point,
     WeierstrassModel,
-    assert_infinite_order,
     map_point,
     multiples,
     require_on_curve,
 )
 from .divpoly import phi2_x, psi2_squared_x, psi2_value, psi3_value
-from .errors import InternalError
+from .errors import InternalError, TorsionPointError
 from .exact_numbers import INFINITY, Valuation, val
 from .tate import TateResult
 
@@ -44,7 +46,12 @@ class ReductionProfile:
     v_phi2: Valuation
     v_x: Valuation            # v(x(P)) on the minimal model
     x_unit_residues: frozenset  # r in 1..n_P-1 with v(x([r]P)) = 0
-    multiple_np: Point        # [n_P]P on the minimal model, in E_1
+    walk: tuple               # [1]P..[max(16, n_P)]P on the minimal model
+
+    @property
+    def multiple_np(self) -> Point:
+        """[n_P]P on the minimal model, in E_1."""
+        return self.walk[self.n_p - 1]
 
 
 def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
@@ -69,33 +76,44 @@ def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
 
 
 def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
-    """Profile of an infinite-order point given on the *input* model."""
+    """Profile of an infinite-order point given on the *input* model.
+
+    Raises TorsionPointError if [n]P = O for some n <= max(16, n_P).
+    """
     p = tate.p
     require_on_curve(tate.input_model, point)
     minimal = tate.minimal_model
     pt = map_point(tate.to_minimal, point)
-    assert_infinite_order(minimal, pt)  # also checks pt is on the minimal model
+    if pt.is_infinity:
+        raise TorsionPointError("the point at infinity is torsion")
 
     # Walk to [n_P]P, the first multiple in E_1 (v(x) < 0); n_P divides
     # c_v * |E~_ns(F_p)| <= c_v * (p + 1 + 2*sqrt(p)).  m_P, the first n with
-    # [n]P non-singular, divides n_P because E_1 is non-singular.
+    # [n]P non-singular, divides n_P because E_1 is non-singular.  As the
+    # torsion guard, the walk goes on to [TORSION_GUARD_BOUND]P at least.
     n_cap = (p + 1 + 2 * math.isqrt(p) + 2 + 1) * tate.cv
     m_for_cap = tate.kodaira.m if tate.kodaira.series == "I" else 0
     m_cap = max(tate.cv, m_for_cap) + 1
+    walk = []
     v_walk = []
-    m_p = None
+    m_p = n_p = None
     for n, q in enumerate(multiples(minimal, pt), start=1):
-        v_walk.append(val(q.x, p))
-        if m_p is None:
-            if not point_is_singular(minimal, q, p):
-                m_p = n
-            elif n >= m_cap:
-                raise InternalError(f"m_P search exceeded its cap of {m_cap}")
-        if v_walk[-1] < 0:
+        if q.is_infinity:
+            raise TorsionPointError(f"[{n}]{pt} = O: torsion point")
+        walk.append(q)
+        if n_p is None:
+            v_walk.append(val(q.x, p))
+            if m_p is None:
+                if not point_is_singular(minimal, q, p):
+                    m_p = n
+                elif n >= m_cap:
+                    raise InternalError(f"m_P search exceeded its cap of {m_cap}")
+            if v_walk[-1] < 0:
+                n_p = n
+            elif n >= n_cap:
+                raise InternalError(f"n_P search exceeded its cap of {n_cap}")
+        if n_p is not None and n >= TORSION_GUARD_BOUND:
             break
-        if n >= n_cap:
-            raise InternalError(f"n_P search exceeded its cap of {n_cap}")
-    n_p = len(v_walk)
     singular = m_p > 1
 
     a_p = None
@@ -142,5 +160,5 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
         v_x=v_walk[0],
         x_unit_residues=frozenset(
             r for r, v in enumerate(v_walk, start=1) if v == 0),
-        multiple_np=q,  # the walk stopped at [n_P]P
+        walk=tuple(walk),
     )

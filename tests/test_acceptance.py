@@ -261,9 +261,12 @@ def test_a8_formal_group(corpus_entries, corpus_profiles):
             scan = unit_exponent_scan(tate.minimal_model, p)
             assert scan.b in (p, p * p), (entry.label, scan.b)
             good_b.append((entry.label, scan.b))
-        # the walk's [n_P]P is the group law's, and s_P = -v(x([n_P]P))/2
-        # for every corpus entry
-        q = mul(tate.minimal_model, prof.n_p, prof.point)
+        # the walk is the group law's [1]P..[max(16, n_P)]P, its n_P-th
+        # point is [n_P]P, and s_P = -v(x([n_P]P))/2 for every corpus entry
+        assert len(prof.walk) == max(16, prof.n_p), entry.label
+        for n, point in enumerate(prof.walk, start=1):
+            assert point == mul(tate.minimal_model, n, prof.point), (entry.label, n)
+        q = prof.walk[prof.n_p - 1]
         assert prof.multiple_np == q, entry.label
         assert val(q.x, p) < 0
         assert val(q.x, p) - val(q.y, p) == -val(q.x, p) / 2, entry.label

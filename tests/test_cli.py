@@ -3,8 +3,8 @@ from decimal import Decimal
 
 import pytest
 
-from gcval.cli import main
-from gcval.corpus import CorpusParseError, load_corpus
+from gcval.cli import build_parser, main
+from gcval.corpus import CorpusParseError, entry_to_json, load_corpus
 from gcval.curve_core import Point, WeierstrassModel
 from gcval.divpoly import psi_sequence
 from gcval.errors import InternalError
@@ -282,3 +282,33 @@ def test_verify_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "verify", "--n-max", "4")
     _, second = run_cli(capsys, "verify", "--n-max", "4")
     assert json.dumps(first) == json.dumps(second)
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text(entry_to_json(load_corpus(CORPUS_PATH)[0]) + "\n")
+    commands = [
+        ["verify", "--corpus", str(corpus), "--n-max", "4"],
+        ["kval", "--curve", "0,0,1,-1,0", "--point", "0,0", "--prime", "2",
+         "--mode", "sideways"],  # argparse rejects it: exit 2
+        ["kval", "--curve", "0,0,1,-1,0", "--point", "0,0", "--prime", "2",
+         "--mode", "formula"],  # --n-max from its default
+        ["seq", "--rn", "1", "3", "5"],
+        ["formal-group", "--curve", "0,0,1,-1,0", "--prime", "2", "--order", "0"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    assert build_parser() is build_parser()
+    shared = [run(argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 2, 0, 0, 2]

@@ -1,14 +1,20 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from gcval.corpus import (
     CorpusParseError,
+    EntryReport,
+    _structural_checks,
     entry_to_json,
     load_corpus,
     verify_entry,
 )
 from gcval.curve_core import on_curve
+from gcval.divpoly import psi_sequence
+from gcval.formal_group import unit_exponent_scan
 
 
 def test_bundled_corpus_loads(corpus_entries):
@@ -94,3 +100,44 @@ def test_torsion_entry_is_reported_not_raised(tmp_path):
     report = verify_entry(entries[0], n_max=3)
     assert report.error and "Torsion" in report.error
     assert not report.ok
+
+
+def structural_failures(tate, prof, seq):
+    report = EntryReport(label="structural")
+    scan = None if prof.singular else unit_exponent_scan(tate.minimal_model, tate.p)
+    _structural_checks(report, tate, prof, tate.p, seq, scan)
+    return report.check_failures
+
+
+@pytest.fixture(scope="module")
+def structural_case(corpus_profiles):
+    """(tate, profile, psi table to index 24) of the first corpus entry."""
+    _entry, tate, prof, _row = corpus_profiles[0]
+    return tate, prof, psi_sequence(tate.minimal_model, prof.point, 24)
+
+
+def test_perturbed_psi_fails_the_divisibility_identity(structural_case):
+    tate, prof, seq = structural_case
+    bad = replace(seq, _psi={**seq._psi, 7: seq.psi(7) * 2})
+    failures = structural_failures(tate, prof, bad)
+    divisibility = [f for f in failures if f.startswith("divisibility-identity")]
+    # psi_7 enters at m + n = 7, m +- 1 = 7, n +- 1 = 7 and m = 7
+    assert "divisibility-identity: (m,n)=(4,3)" in divisibility
+    assert "divisibility-identity: (m,n)=(8,7)" in divisibility
+    assert set(failures) - set(divisibility) == {"x-multiple-identity: n=7"}
+
+
+def test_perturbed_walk_point_fails_the_x_multiple_identity(structural_case):
+    tate, prof, seq = structural_case
+    assert prof.n_p != 3
+    walk = prof.walk[:2] + prof.walk[3:4] + prof.walk[3:]  # [4]P for [3]P
+    failures = structural_failures(tate, replace(prof, walk=walk), seq)
+    assert failures == ["x-multiple-identity: n=3"]
+
+
+def test_non_integral_scaled_psi_is_a_check_failure(structural_case):
+    tate, prof, seq = structural_case
+    bad = replace(seq, _psi={**seq._psi, 5: seq.psi(5) * Fraction(1, 1000003)})
+    failures = structural_failures(tate, prof, bad)
+    assert "divisibility-integrality: psi_n c^(n^2-1) not an integer at n=5" in failures
+    assert not [f for f in failures if f.startswith("divisibility-identity")]

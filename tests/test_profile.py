@@ -89,6 +89,17 @@ def test_torsion_point_rejected():
         compute_profile(tate, Point(2, 3))
 
 
+def test_torsion_guard_walks_past_n_p():
+    # (3/4, -3/8) lies in E_1 at p = 2, so n_P = 1, and is 2-torsion: the
+    # guard must go on walking after [n_P]P to see [2]P = O
+    tate = run_tate(WeierstrassModel(1, -1, 0, -4, 3), 2)
+    point = Point(Fraction(3, 4), Fraction(-3, 8))
+    assert val(point.x, 2) < 0
+    with pytest.raises(TorsionPointError) as info:
+        compute_profile(tate, point)
+    assert str(info.value) == "[2](3/4,-3/8) = O: torsion point"
+
+
 def test_profile_through_nonminimal_input():
     # same curve as III-p5 scaled by u = 5, with the point scaled along
     tate, prof = profile_of((0, 0, 0, 5 ** 5, -(5 ** 9)), (125, 625), 5)
