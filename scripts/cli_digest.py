@@ -15,10 +15,12 @@ without --point, ``psi``, ``formal-group`` at its default order and at
 --m 3 --order 12, and ``seq``; ``profile`` and ``kval`` of torsion
 points, one of them a 2-torsion point in E_1, so n_P = 1 < 2; ``kval
 --mode direct`` at the --n-max 200 guardrail on four corpus points, and
-``kval`` where phi_2(P) = 0 and on a model integral only at p; and the
-exit-2/3 error paths, among them one ``formal-group`` just above the
---order cap and ``verify`` on four malformed one-entry corpora, which the
-script writes to a temporary directory.  The argv is printed with that
+``kval`` where phi_2(P) = 0 and on a model integral only at p; ``psi`` at
+--n-max 200, at a torsion point, on a model integral only at p and at a
+point with denominators; and the exit-2/3 error paths, among them one
+``formal-group`` just above the --order cap and ``verify`` on four
+malformed one-entry corpora and, at --n-max 0, on one with no entries,
+which the script writes to a temporary directory.  The argv is printed with that
 directory as ``{tmp}``, so digests from two runs compare line by line.
 """
 
@@ -35,15 +37,16 @@ from pathlib import Path
 
 from gcval.cli import main
 
-#: one-entry corpora whose single line is malformed: a Kodaira pin that is
-#: no Kodaira symbol, flags that are no list, a c_v pin that is a string,
-#: misspelled pin keys
+#: one-line corpora: four whose single entry is malformed (a Kodaira pin
+#: that is no Kodaira symbol, flags that are no list, a c_v pin that is a
+#: string, misspelled pin keys) and one with only a comment
 _ENTRY = '"label": "bad", "a": ["0","0","1","-1","0"], "point": ["0","0"], "prime": 5'
-BAD_CORPORA = {
+CORPORA = {
     "bad-kodaira.jsonl": "{" + _ENTRY + ', "expect": {"kodaira": "Q7"}}',
     "bad-flags.jsonl": "{" + _ENTRY + ', "flags": 3}',
     "bad-cv.jsonl": "{" + _ENTRY + ', "expect": {"cv": "2"}}',
     "bad-key.jsonl": "{" + _ENTRY + ', "expect": {"kodaria": "I5", "CV": 9}}',
+    "empty.jsonl": "# no entries",
 }
 
 OTHER_COMMANDS = (
@@ -62,6 +65,14 @@ OTHER_COMMANDS = (
     "kval --curve 0,3,1,2,0 --point=-1,0 --prime 2 --n-max 40 --mode both",
     # 37a scaled by u = 3: integral at 2 only
     "kval --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 2 --n-max 40 --mode both",
+    # psi_n / phi_n rebuilt from the table split at p: at the guardrail, at
+    # a point of order 6 (psi_6 = 0), on 37a scaled by u = 3 at p = 2 and 3,
+    # and at the point [5](0, 0) of 37a, x = 1/4
+    "psi --curve 1,0,0,0,-243 --point 9,18 --prime 3 --n-max 200",
+    "psi --curve 0,0,0,0,1 --point 2,3 --prime 5 --n-max 12",
+    "psi --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 2",
+    "psi --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 3",
+    "psi --curve 0,0,1,-1,0 --point 1/4,-5/8 --prime 2",
     # exit 2: malformed input
     "profile --curve 0,0,0,0 --prime 5",
     "profile --prime 5",
@@ -79,6 +90,7 @@ OTHER_COMMANDS = (
     "verify --corpus {tmp}/bad-flags.jsonl",
     "verify --corpus {tmp}/bad-cv.jsonl",
     "verify --corpus {tmp}/bad-key.jsonl",
+    "verify --corpus {tmp}/empty.jsonl --n-max 0",  # exit 2 before the load
     # exit 3: precondition violations
     "profile --curve 0,0,0,0,1 --prime 6",
     "profile --curve 1,0,0,0,0 --prime 5",
@@ -86,6 +98,7 @@ OTHER_COMMANDS = (
     "kval --curve 0,0,0,0,1 --point 2,3 --prime 5 --n-max 3 --mode direct",
     "kval --curve 1,-1,0,-4,3 --point 3/4,-3/8 --prime 2 --n-max 3 --mode both",
     "psi --curve 0,0,0,0,1 --point 2,3 --prime 4 --n-max 3",
+    "psi --curve 0,0,0,-1,0 --point 1,0 --prime 5",  # 2-torsion
     "seq --sn 2 1 0 1 0 4 1",
 )
 
@@ -135,7 +148,7 @@ def sha(text: str) -> str:
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for name, line in BAD_CORPORA.items():
+        for name, line in CORPORA.items():
             Path(tmp, name).write_text(line + "\n", encoding="utf-8")
         for argv in commands():
             code, out, err = run([arg.format(tmp=tmp) for arg in argv])

@@ -201,15 +201,14 @@ def cmd_psi(args) -> int:
     point = _parse_point(args.point)
     model, point = _prepare(model, point, args.prime)
     n_max = _check_n_max(args.n_max)
-    seq = psi_sequence(model, point, n_max)
-    for n in range(1, n_max + 1):
-        psi, phi = seq.psi(n), seq.phi(n)
+    seq = psi_sequence(model, point, args.prime, n_max)
+    for n, v_phi, v_psi in seq.valuations:
         _emit({
             "n": n,
-            "psi": format_rational(psi),
-            "phi": format_rational(phi),
-            "vPsi": val_to_json(val(psi, args.prime)),
-            "vPhi": val_to_json(val(phi, args.prime)),
+            "psi": format_rational(seq.psi(n)),
+            "phi": format_rational(seq.phi(n)),
+            "vPsi": val_to_json(v_psi),
+            "vPhi": val_to_json(v_phi),
         })
     return EXIT_OK
 
@@ -260,13 +259,13 @@ def _default_corpus_path() -> str:
 
 
 def cmd_verify(args) -> int:
-    path = args.corpus or _default_corpus_path()
-    entries = load_corpus(path)
+    n_max = _check_n_max(args.n_max)
+    entries = load_corpus(args.corpus or _default_corpus_path())
     if not entries:
         _emit({"warning": "0 entries", "entries": [],
                "summary": {"entries": 0, "failures": 0, "exitCode": 0}})
         return EXIT_OK
-    report = verify_corpus(entries, n_max=_check_n_max(args.n_max))
+    report = verify_corpus(entries, n_max=n_max)
     _emit(report.to_json())
     return report.exit_code
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .curve_core import Point, WeierstrassModel, multiples, on_curve
-from .divpoly import integral_scale, psi2_squared_x, psi_sequence
+from .divpoly import psi2_squared_x, psi_phi_valuations, psi_sequence
 from .engine import (
     REQUIRED_ROWS,
     classify_row,
@@ -228,24 +228,16 @@ def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
             break
         if q.x * seq.psi_squared(n) != seq.phi(n):
             fail("x-multiple-identity", f"n={n}")
-    # elliptic divisibility relation at the point, on the integers
+    # elliptic divisibility relation at the point, on the table's integers
     # W_n = c^(n^2-1) psi_n: both sides have weight 2m^2 + 2n^2 - 2 in c
-    c = integral_scale(model, pt)
-    w = [seq.psi(0)] + [seq.psi(n) * c ** (n * n - 1)
-                        for n in range(1, _STRUCTURAL_INDEX + 1)]
-    not_integral = [n for n, q in enumerate(w) if q.denominator != 1]
-    if not_integral:
-        fail("divisibility-integrality", f"psi_n c^(n^2-1) not an integer "
-             f"at n={not_integral[0]}")
-    else:
-        w = [q.numerator for q in w]
-        for mm in range(2, 13):
-            for nn in range(1, mm):
-                lhs = w[mm + nn] * w[mm - nn]
-                rhs = (w[mm + 1] * w[mm - 1] * w[nn] ** 2
-                       - w[nn + 1] * w[nn - 1] * w[mm] ** 2)
-                if lhs != rhs:
-                    fail("divisibility-identity", f"(m,n)=({mm},{nn})")
+    w = [seq.scaled_psi(n) for n in range(_STRUCTURAL_INDEX + 1)]
+    for mm in range(2, 13):
+        for nn in range(1, mm):
+            lhs = w[mm + nn] * w[mm - nn]
+            rhs = (w[mm + 1] * w[mm - 1] * w[nn] ** 2
+                   - w[nn + 1] * w[nn - 1] * w[mm] ** 2)
+            if lhs != rhs:
+                fail("divisibility-identity", f"(m,n)=({mm},{nn})")
 
     # reduction-type consistency (run_tate has already checked the I_m and
     # I_m* valuation relations on this result)
@@ -262,8 +254,8 @@ def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
         if prof.m_p == 2 and prof.v_phi2 != prof.v_psi3:
             fail("mp2-phi2-psi3")
         if prof.m_p == 3 and tate.reduction == "additive":
-            nseq = psi_sequence(norm, npt, 4)
-            if val(nseq.phi(3), p) != 3 * val(nseq.psi(2) ** 2, p):
+            rows = psi_phi_valuations(norm, npt, p, 3)
+            if rows[2][1] != 6 * rows[1][2]:  # v(phi_3) = 3 v(psi_2^2)
                 fail("mp3-phi3-psi2sq")
         if k.series == "I*" and k.m >= 1:
             m = k.m
@@ -364,7 +356,8 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
             table_decomposition(prof)  # raises InternalError on inconsistency
         scan = (None if prof.singular
                 else unit_exponent_scan(tate.minimal_model, entry.prime))
-        seq = psi_sequence(tate.minimal_model, prof.point, _STRUCTURAL_INDEX)
+        seq = psi_sequence(tate.minimal_model, prof.point, entry.prime,
+                           _STRUCTURAL_INDEX)
         _structural_checks(report, tate, prof, entry.prime, seq, scan)
         _prediction_checks(report, tate, prof, rows, scan)
         _check_expect(report, entry, tate, prof, row)

@@ -1,20 +1,17 @@
 """Division polynomial values psi_n(P) and companions phi_n(P) at a point.
 
-Evaluation is numeric at the point, never symbolic: symbolic coefficients
-blow up.  Every table is built bottom-up from the printed bases
-psi_1..psi_4, extended below index 1 by psi_0 = 0 and psi_-1 = -1 so the
-recurrences hold at the margins without special cases.
+Evaluation is numeric at the point, never symbolic.  One recurrence runs
+on the integers W_n = c^(n^2-1) psi_n from the printed bases psi_1..psi_4
+and psi_0 = 0, psi_-1 = -1, with c = u e when scaling by u makes the model
+integral and puts P at x = X/e^2.  Each W_n is held as p^k U with p not
+dividing U: a product adds exponents, a difference of two terms has a
+known exponent unless the two tie, and only then is p split off.
+Phi_n = c^(2n^2) phi_n = X W_n^2 - W_(n-1) W_(n+1).
 
-``psi_sequence`` keeps the values as exact rationals; ``gcval psi`` prints
-them and the structural checks compare them.  ``psi_phi_valuations`` is
-the oracle's path, which only needs v_p(psi_n) and v_p(phi_n).  On an
-integral model with x(P) = X/e^2 it runs the same recurrences on the
-integers W_n = e^(n^2-1) psi_n, each held as p^k U with p not dividing U:
-a product adds exponents, and a difference of two terms whose exponents
-differ has a known exponent, so the p-part is split off only when they
-tie.  Phi_n = X W_n^2 - W_(n-1) W_(n+1) is formed only on such a tie.
-``integral_scale`` gives e (times the model's denominators); the
-structural checks use it to run the divisibility identity on W_n too.
+Two readers sit on that table.  ``psi_phi_valuations``, the oracle, reads
+v_p(psi_n) and v_p(phi_n) off the exponents and forms Phi_n only on a tie.
+``psi_sequence`` rebuilds the exact values psi_n = p^k U / c^(n^2-1) and
+phi_n = Phi_n / c^(2n^2) for ``gcval psi`` and the structural checks.
 """
 
 from __future__ import annotations
@@ -57,70 +54,30 @@ class DivPolySequence:
     model: WeierstrassModel
     point: Point
     n_max: int
-    _psi: dict = field(repr=False)  # n -> psi_n(P), for -1 <= n <= n_max + 1
+    #: [(n, v_p(phi_n), v_p(psi_n))] for 1 <= n <= n_max, at the table's prime
+    valuations: list = field(repr=False)
+    _w: dict = field(repr=False)  # n -> the integer W_n, for n in _psi
+    _psi: dict = field(repr=False)  # n -> psi_n(P), for -1 <= n <= max(4, n_max + 1)
     _phi: dict = field(repr=False)  # n -> phi_n(P), for 1 <= n <= n_max
 
+    def _get(self, table: dict, name: str, n: int):
+        if n not in table:
+            raise InputError(f"{name}_{n} not in table (n_max={self.n_max})")
+        return table[n]
+
     def psi(self, n: int) -> Rational:
-        if n not in self._psi:
-            raise InputError(f"psi_{n} not in table (n_max={self.n_max})")
-        return self._psi[n]
+        return self._get(self._psi, "psi", n)
 
     def psi_squared(self, n: int) -> Rational:
         v = self.psi(n)
         return v * v
 
+    def scaled_psi(self, n: int) -> int:
+        """The integer W_n = c^(n^2-1) psi_n(P)."""
+        return self._get(self._w, "W", n)
+
     def phi(self, n: int) -> Rational:
-        if n not in self._phi:
-            raise InputError(f"phi_{n} not in table (n_max={self.n_max})")
-        return self._phi[n]
-
-
-def psi_sequence(model: WeierstrassModel, point: Point, n_max: int) -> DivPolySequence:
-    """Fill psi_1..psi_{n_max+1} and phi_1..phi_{n_max} at the point.
-
-    Requires an affine point that is not 2-torsion (the even recurrence
-    divides by psi_2).
-    """
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max}")
-    require_on_curve(model, point)
-    if point.is_infinity:
-        raise InputError("division polynomial values need an affine point")
-    x = point.x
-    psi2 = psi2_value(model, point)
-    if psi2 == 0:
-        raise TwoTorsionError(f"{point} is 2-torsion: psi_2(P) = 0")
-
-    b2, b4, b6, b8 = model.b2, model.b4, model.b6, model.b8
-    psi = {
-        -1: Fraction(-1),
-        0: Fraction(0),
-        1: Fraction(1),
-        2: psi2,
-        3: psi3_value(model, point),
-        4: psi2 * (2 * x ** 6 + b2 * x ** 5 + 5 * b4 * x ** 4 + 10 * b6 * x ** 3
-                   + 10 * b8 * x * x + (b2 * b8 - b4 * b6) * x + (b4 * b8 - b6 * b6)),
-    }
-    for n in range(5, n_max + 2):
-        m = n // 2
-        if n % 2:
-            psi[n] = psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3
-        else:
-            num = psi[m] * (psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2)
-            q = num / psi2
-            psi[n] = q
-
-    phi = {}
-    for n in range(1, n_max + 1):
-        phi[n] = x * psi[n] ** 2 - psi[n - 1] * psi[n + 1]
-
-    # cross-checks against the x-only closed forms
-    if psi2 * psi2 != psi2_squared_x(model, x):
-        raise InternalError("psi_2^2 disagrees with its x-only cubic")
-    if n_max >= 2 and phi[2] != phi2_x(model, x):
-        raise InternalError("phi_2 disagrees with its x-only quartic")
-
-    return DivPolySequence(model, point, n_max, psi, phi)
+        return self._get(self._phi, "phi", n)
 
 
 #: zero as a p-split integer (k, U): every product with it stays zero
@@ -141,7 +98,13 @@ def _sub(a: tuple, b: tuple, p: int) -> tuple:
     return ka + t, u
 
 
-def integral_scale(model: WeierstrassModel, point: Point) -> int:
+def _join(a: tuple, p: int) -> int:
+    """The integer p^k U of a p-split pair (k, U)."""
+    k, u = a
+    return 0 if u == 0 else p ** k * u
+
+
+def _integral_scale(model: WeierstrassModel, point: Point) -> int:
     """c such that W_n = c^(n^2-1) psi_n(P) and X = c^2 x(P) are integers.
 
     Scaling the model by u = lcm(denominators of the a-invariants)
@@ -152,27 +115,40 @@ def integral_scale(model: WeierstrassModel, point: Point) -> int:
     return u * isqrt((u * u * point.x).denominator)
 
 
-def psi_phi_valuations(model: WeierstrassModel, point: Point, p: int,
-                       n_max: int) -> list[tuple[int, Valuation, Valuation]]:
-    """[(n, v_p(phi_n(P)), v_p(psi_n(P)))] for n = 1..n_max.
+def _split_table(model: WeierstrassModel, point: Point, p: int,
+                 n_max: int) -> tuple[int, tuple, list]:
+    """(c, X, [W_-1, W_0, ..., W_max(4, n_max+1)]) with X and each W_n p-split.
 
-    With c = integral_scale(model, point), the integers W_n =
-    c^(n^2-1) psi_n and Phi_n = c^(2n^2) phi_n = X W_n^2 - W_(n-1) W_(n+1)
-    satisfy the psi and phi recurrences; the even step divides exactly by
-    W_2.  The bases and their checks (on the curve, not 2-torsion) come
-    from psi_sequence.
+    Requires n_max >= 1, a prime p and an affine point on the curve that is
+    not 2-torsion (the even step divides exactly by W_2).
     """
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
     check_prime(p)
-    base = psi_sequence(model, point, 3)
-    c = integral_scale(model, point)
-    scaled = [point.x * c * c] + [base.psi(n) * c ** (n * n - 1) for n in range(1, 5)]
+    require_on_curve(model, point)
+    if point.is_infinity:
+        raise InputError("division polynomial values need an affine point")
+    x = point.x
+    psi2 = psi2_value(model, point)
+    if psi2 == 0:
+        raise TwoTorsionError(f"{point} is 2-torsion: psi_2(P) = 0")
+    psi3 = psi3_value(model, point)
+    b2, b4, b6, b8 = model.b2, model.b4, model.b6, model.b8
+    psi4 = psi2 * (2 * x ** 6 + b2 * x ** 5 + 5 * b4 * x ** 4 + 10 * b6 * x ** 3
+                   + 10 * b8 * x * x + (b2 * b8 - b4 * b6) * x + (b4 * b8 - b6 * b6))
+    # cross-checks against the x-only closed forms; phi_2 = x psi_2^2 - psi_3
+    if psi2 * psi2 != psi2_squared_x(model, x):
+        raise InternalError("psi_2^2 disagrees with its x-only cubic")
+    if x * psi2 * psi2 - psi3 != phi2_x(model, x):
+        raise InternalError("phi_2 disagrees with its x-only quartic")
+
+    c = _integral_scale(model, point)
+    scaled = [x * c * c, psi2 * c ** 3, psi3 * c ** 8, psi4 * c ** 15]
     if any(q.denominator != 1 for q in scaled):
         raise InternalError(f"{point} is not X/e^2, Y/e^3 on the integral model "
                             f"of {model}")
     big_x, *seeds = (_ZERO if q == 0 else p_split(q.numerator, p) for q in scaled)
-    w = [(0, -1), _ZERO, *seeds]  # W_n at index n + 1, from W_-1 = -1 and W_0 = 0
+    w = [(0, -1), _ZERO, (0, 1), *seeds]  # W_n at index n + 1
     k2, u2 = w[3]
     for n in range(5, n_max + 2):
         m = n // 2
@@ -188,7 +164,12 @@ def psi_phi_valuations(model: WeierstrassModel, point: Point, p: int,
             if r:
                 raise InternalError(f"W_2 does not divide the even step at n = {n}")
             w.append((k - k2, q))
+    return c, big_x, w
 
+
+def _exponents(p: int, n_max: int, c: int, big_x: tuple,
+               w: list) -> list[tuple[int, Valuation, Valuation]]:
+    """[(n, v_p(phi_n), v_p(psi_n))] for n = 1..n_max, off a split table."""
     v_scale = p_split(c, p)[0]
     kx, ux = big_x
     out = []
@@ -198,3 +179,29 @@ def psi_phi_valuations(model: WeierstrassModel, point: Point, p: int,
         k_phi = min(ka, kb) if ka != kb else _sub((ka, ux * un * un), (kb, ul * ur), p)[0]
         out.append((n, k_phi - 2 * n * n * v_scale, kn - (n * n - 1) * v_scale))
     return out
+
+
+def psi_phi_valuations(model: WeierstrassModel, point: Point, p: int,
+                       n_max: int) -> list[tuple[int, Valuation, Valuation]]:
+    """[(n, v_p(phi_n(P)), v_p(psi_n(P)))] for n = 1..n_max, without
+    building a value."""
+    return _exponents(p, n_max, *_split_table(model, point, p, n_max))
+
+
+def psi_sequence(model: WeierstrassModel, point: Point, p: int,
+                 n_max: int) -> DivPolySequence:
+    """psi_-1..psi_{max(4, n_max+1)} and phi_1..phi_{n_max} at the point, exact.
+
+    The values are rebuilt from the table split at p, which also gives
+    their valuations at p.
+    """
+    c, big_x, w = _split_table(model, point, p, n_max)
+    ints = {n: _join(a, p) for n, a in enumerate(w, start=-1)}
+    psi = {-1: Fraction(-1), 0: Fraction(0)}
+    psi.update((n, Fraction(ints[n], c ** (n * n - 1))) for n in range(1, len(w) - 1))
+    x_int = _join(big_x, p)
+    phi = {n: Fraction(x_int * ints[n] ** 2 - ints[n - 1] * ints[n + 1],
+                       c ** (2 * n * n))
+           for n in range(1, n_max + 1)}
+    return DivPolySequence(model, point, n_max, _exponents(p, n_max, c, big_x, w),
+                           ints, psi, phi)

@@ -2,10 +2,10 @@
 
 Two independent routes are provided and must agree:
 
-* ``k_direct_range`` -- the ground-truth oracle: run the
-  division-polynomial recurrences at the point on p-split integers
-  (``divpoly.psi_phi_valuations``) and take the min of the two
-  valuations, for n = 1..n_max;
+* ``k_direct_range`` -- the ground-truth oracle: read v_p(phi_n) and
+  v_p(psi_n) off the division-polynomial table at the point, split at p
+  (``divpoly.psi_phi_valuations``, which builds no value), and take the
+  min of v_p(phi_n) and v_p(psi_n^2), for n = 1..n_max;
 * ``k_formula`` -- the closed form, dispatched on the reduction profile
   (non-singular branch, multiplicative branch via r_n, additive branches
   via the psi_2^2 / psi_3 valuations).

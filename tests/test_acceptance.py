@@ -13,7 +13,6 @@ from gcval.corpus import verify_corpus
 from gcval.curve_core import WeierstrassModel, mul
 from gcval.divpoly import phi2_x, psi2_squared_x, psi_sequence
 from gcval.engine import (
-    REQUIRED_ROWS,
     ROW_I2MSTAR_C4,
     ROW_III,
     ROW_III_STAR,
@@ -25,7 +24,6 @@ from gcval.engine import (
     ROW_IV,
     ROW_IV_STAR,
     default_staircase_params,
-    k_direct_range,
     k_formula,
     predict_phi_val,
     predict_psi_val,
@@ -108,7 +106,7 @@ def test_a3_per_factor_predictions(corpus_profiles):
         if not supported:
             continue
         params = default_staircase_params(prof)
-        seq = psi_sequence(tate.minimal_model, prof.point, N_MAX)
+        seq = psi_sequence(tate.minimal_model, prof.point, entry.prime, N_MAX)
         for n in range(1, N_MAX + 1):
             psi = seq.psi(n)
             actual = val(psi, entry.prime) if psi != 0 else INFINITY
@@ -144,7 +142,7 @@ def test_a5_structural_identities(corpus_profiles):
     for entry, tate, prof, row in corpus_profiles:
         model = tate.minimal_model
         pt = prof.point
-        seq = psi_sequence(model, pt, 24)
+        seq = psi_sequence(model, pt, entry.prime, 24)
         for n in range(1, 21):
             q = mul(model, n, pt)
             assert q.x * seq.psi_squared(n) == seq.phi(n), (entry.label, n)
@@ -215,7 +213,7 @@ def test_a7_valuation_lemma_checks(corpus_profiles):
         if not prof.singular:
             continue
         npt = prof.point_normalized
-        nseq = psi_sequence(tate.normalized_model, npt, 4)
+        nseq = psi_sequence(tate.normalized_model, npt, p, 4)
         if prof.m_p == 2:
             assert val(nseq.phi(2), p) == val(nseq.psi(3), p), entry.label
             mp2 += 1
@@ -282,7 +280,7 @@ def test_a8_formal_group(corpus_entries, corpus_profiles):
         params = default_staircase_params(prof)
         assert (params.b, params.s, params.h) == (2, 1, 0)
         assert params.w not in (0, INFINITY)
-        seq = psi_sequence(tate.minimal_model, prof.point,
+        seq = psi_sequence(tate.minimal_model, prof.point, p,
                            prof.n_p * p ** 2)
         for t_exp in range(0, 3):
             n = prof.n_p * p ** t_exp

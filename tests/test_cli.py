@@ -127,7 +127,7 @@ def test_psi_prints_values_past_the_int_str_limit(capsys):
                           "--point", "9,18", "--prime", "3", "--n-max", "200")
     assert code == 0
     assert len(lines) == 200
-    seq = psi_sequence(WeierstrassModel(1, 0, 0, 0, -243), Point(9, 18), 200)
+    seq = psi_sequence(WeierstrassModel(1, 0, 0, 0, -243), Point(9, 18), 3, 200)
     assert int(Decimal(lines[-1]["psi"])) == seq.psi(200)
     assert int(Decimal(lines[-1]["phi"])) == seq.phi(200)
 
@@ -240,6 +240,10 @@ def test_verify_empty_corpus(tmp_path, capsys):
     code, lines = run_cli(capsys, "verify", "--corpus", str(path))
     assert code == 0
     assert lines[0]["warning"] == "0 entries"
+    # --n-max is checked before the corpus is read, empty or not
+    for n_max in ("0", "201"):
+        assert main(["verify", "--corpus", str(path), "--n-max", n_max]) == 2
+    assert "--n-max" in capsys.readouterr().err
 
 
 def test_verify_off_curve_corpus_line(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -113,12 +112,14 @@ def structural_failures(tate, prof, seq):
 def structural_case(corpus_profiles):
     """(tate, profile, psi table to index 24) of the first corpus entry."""
     _entry, tate, prof, _row = corpus_profiles[0]
-    return tate, prof, psi_sequence(tate.minimal_model, prof.point, 24)
+    return tate, prof, psi_sequence(tate.minimal_model, prof.point, tate.p, 24)
 
 
 def test_perturbed_psi_fails_the_divisibility_identity(structural_case):
     tate, prof, seq = structural_case
-    bad = replace(seq, _psi={**seq._psi, 7: seq.psi(7) * 2})
+    # psi_7 doubled, as a value and as the integer W_7 the identity reads
+    bad = replace(seq, _psi={**seq._psi, 7: seq.psi(7) * 2},
+                  _w={**seq._w, 7: seq.scaled_psi(7) * 2})
     failures = structural_failures(tate, prof, bad)
     divisibility = [f for f in failures if f.startswith("divisibility-identity")]
     # psi_7 enters at m + n = 7, m +- 1 = 7, n +- 1 = 7 and m = 7
@@ -133,11 +134,3 @@ def test_perturbed_walk_point_fails_the_x_multiple_identity(structural_case):
     walk = prof.walk[:2] + prof.walk[3:4] + prof.walk[3:]  # [4]P for [3]P
     failures = structural_failures(tate, replace(prof, walk=walk), seq)
     assert failures == ["x-multiple-identity: n=3"]
-
-
-def test_non_integral_scaled_psi_is_a_check_failure(structural_case):
-    tate, prof, seq = structural_case
-    bad = replace(seq, _psi={**seq._psi, 5: seq.psi(5) * Fraction(1, 1000003)})
-    failures = structural_failures(tate, prof, bad)
-    assert "divisibility-integrality: psi_n c^(n^2-1) not an integer at n=5" in failures
-    assert not [f for f in failures if f.startswith("divisibility-identity")]

@@ -128,7 +128,7 @@ def test_negation_formula():
     lambda off: add(E37, off, Point(0, 0)),
     lambda off: mul(E37, 3, off),
     lambda off: assert_infinite_order(E37, off),
-    lambda off: psi_sequence(E37, off, 4),
+    lambda off: psi_sequence(E37, off, 5, 4),
     lambda off: compute_profile(run_tate(E37, 5), off),
     lambda off: next(multiples(E37, off)),
 ], ids=["add", "mul", "assert_infinite_order", "psi_sequence", "compute_profile",

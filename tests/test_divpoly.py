@@ -13,6 +13,7 @@ from gcval.curve_core import (
     mul,
 )
 from gcval.divpoly import (
+    _integral_scale,
     phi2_x,
     psi2_squared_x,
     psi2_value,
@@ -31,7 +32,7 @@ P37 = Point(0, 0)
 
 
 def test_base_values_hand_computed():
-    seq = psi_sequence(E_MORDELL, P_M, 4)
+    seq = psi_sequence(E_MORDELL, P_M, 5, 4)
     assert seq.psi(1) == 1
     assert seq.psi(2) == 6          # 2y + a1 x + a3
     assert seq.psi(3) == 72         # 3x^4 + b2 x^3 + 3 b4 x^2 + 3 b6 x + b8
@@ -59,20 +60,22 @@ def test_phi2_matches_group_law():
 def test_two_torsion_rejected():
     e = WeierstrassModel(0, 0, 0, -1, 0)  # (1, 0) is 2-torsion
     with pytest.raises(TwoTorsionError):
-        psi_sequence(e, Point(1, 0), 3)
+        psi_sequence(e, Point(1, 0), 5, 3)
 
 
 def test_bad_inputs():
     with pytest.raises(InputError):
-        psi_sequence(E37, P37, 0)
+        psi_sequence(E37, P37, 2, 0)
     with pytest.raises(InputError):
-        psi_sequence(E37, Point(), 3)
+        psi_sequence(E37, Point(), 2, 3)
     with pytest.raises(InputError):
-        psi_sequence(E37, Point(1, 1), 3)
+        psi_sequence(E37, Point(1, 1), 2, 3)
+    with pytest.raises(NonPrimeError):
+        psi_sequence(E37, P37, 4, 3)
 
 
 def test_x_of_multiple_identity_37a():
-    seq = psi_sequence(E37, P37, 20)
+    seq = psi_sequence(E37, P37, 2, 20)
     for n in range(1, 21):
         q = mul(E37, n, P37)
         assert not q.is_infinity
@@ -81,13 +84,13 @@ def test_x_of_multiple_identity_37a():
 
 def test_torsion_vanishing():
     # (2, 3) has order 6 on y^2 = x^3 + 1, so psi_6 vanishes there
-    seq = psi_sequence(E_MORDELL, P_M, 6)
+    seq = psi_sequence(E_MORDELL, P_M, 5, 6)
     assert seq.psi(6) == 0
     assert seq.psi(5) != 0
 
 
 def test_elliptic_divisibility_relation():
-    seq = psi_sequence(E37, P37, 24)
+    seq = psi_sequence(E37, P37, 2, 24)
     for m in range(2, 13):
         for n in range(1, m):
             lhs = seq.psi(m + n) * seq.psi(m - n)
@@ -97,7 +100,7 @@ def test_elliptic_divisibility_relation():
 
 
 def test_phi_recurrence_definition():
-    seq = psi_sequence(E37, P37, 12)
+    seq = psi_sequence(E37, P37, 2, 12)
     x = P37.x
     for n in range(2, 13):
         assert seq.phi(n) == x * seq.psi(n) ** 2 - seq.psi(n - 1) * seq.psi(n + 1)
@@ -105,18 +108,43 @@ def test_phi_recurrence_definition():
 
 def test_rational_point_with_denominators():
     q = Point(Fraction(1, 4), Fraction(-5, 8))  # [5] of the 37a generator
-    seq = psi_sequence(E37, q, 8)
+    seq = psi_sequence(E37, q, 2, 8)
     for n in range(1, 9):
         r = mul(E37, n, q)
         assert r.x * seq.psi_squared(n) == seq.phi(n)
 
 
-# --- the p-split integer oracle against the exact table -------------------
+# --- both readers of the p-split table against a Fraction recurrence -------
+
+def _fraction_table(model, point, n_max):
+    """psi_-1..psi_(n_max+1) and phi_1..phi_n_max at an affine point that
+    is not 2-torsion, by the recurrences on Fractions: the reference."""
+    b2, b4, b6, b8 = model.b2, model.b4, model.b6, model.b8
+    x, psi2 = point.x, psi2_value(model, point)
+    psi = {
+        -1: Fraction(-1),
+        0: Fraction(0),
+        1: Fraction(1),
+        2: psi2,
+        3: psi3_value(model, point),
+        4: psi2 * (2 * x ** 6 + b2 * x ** 5 + 5 * b4 * x ** 4 + 10 * b6 * x ** 3
+                   + 10 * b8 * x * x + (b2 * b8 - b4 * b6) * x + (b4 * b8 - b6 * b6)),
+    }
+    for n in range(5, n_max + 2):
+        m = n // 2
+        if n % 2:
+            psi[n] = psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3
+        else:
+            psi[n] = psi[m] * (psi[m + 2] * psi[m - 1] ** 2
+                               - psi[m - 2] * psi[m + 1] ** 2) / psi2
+    phi = {n: x * psi[n] ** 2 - psi[n - 1] * psi[n + 1] for n in range(1, n_max + 1)}
+    return psi, phi
+
 
 def _reference(model, point, p, n_max):
     """(n, v(phi_n), v(psi_n)) read off the Fraction table with val."""
-    seq = psi_sequence(model, point, n_max)
-    return [(n, val(seq.phi(n), p), val(seq.psi(n), p)) for n in range(1, n_max + 1)]
+    psi, phi = _fraction_table(model, point, n_max)
+    return [(n, val(phi[n], p), val(psi[n], p)) for n in range(1, n_max + 1)]
 
 
 #: 37a translated by r = 1: [2](0, 0) = (1, 0) moves to x = 0, so phi_2 = 0
@@ -170,12 +198,20 @@ def curve_point_prime(draw):
 @example(triple=(E37_R1, P37_R1, 2), n_max=12)    # phi_2 = 0
 @example(triple=(E37_2K, P37_2K, 2), n_max=12)    # v(phi_2) = 29
 @example(triple=(E37_PBIG, P37_PBIG, P_BIG), n_max=6)  # v(phi_2) = 1
+@example(triple=(E37, P37, 2), n_max=1)           # the bases past n_max + 1
 def test_oracle_matches_fraction_table(triple, n_max):
     model, point, p = triple
-    try:
-        want = _reference(model, point, p, n_max)
-    except TwoTorsionError:
+    if psi2_value(model, point) == 0:
         reject()
+    psi, phi = _fraction_table(model, point, n_max)
+    seq = psi_sequence(model, point, p, n_max)
+    assert seq._psi == psi
+    assert seq._phi == phi
+    c = _integral_scale(model, point)
+    assert all(seq.scaled_psi(n) == psi[n] * c ** (n * n - 1)
+               for n in range(1, n_max + 2))
+    want = _reference(model, point, p, n_max)
+    assert seq.valuations == want
     assert psi_phi_valuations(model, point, p, n_max) == want
 
 

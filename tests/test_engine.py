@@ -171,7 +171,7 @@ def test_predictions_match_actual_valuations(corpus_profiles):
         if not supported:
             continue
         params = default_staircase_params(prof)
-        seq = psi_sequence(tate.minimal_model, prof.point, 16)
+        seq = psi_sequence(tate.minimal_model, prof.point, entry.prime, 16)
         for n in range(1, 17):
             got = predict_psi_val(prof, params, n)
             want = val(seq.psi(n), entry.prime)
