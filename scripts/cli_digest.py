@@ -9,19 +9,24 @@ tree and diffing the two outputs:
 
     PYTHONPATH=<tree>/src python scripts/cli_digest.py > digest.txt
 
-The command set is ``verify`` at --n-max 40, 60 and 100; for each entry of
-the bundled corpus, ``kval`` in all three modes, ``profile`` with and
+The command set is ``verify`` at --n-max 1, 3, 24, 25, 40, 60 and 100
+(each entry's division table goes to index max(n_max, 24), so 24 and 25
+sit either side of that edge); for each entry of the bundled corpus,
+``kval`` in all three modes, ``profile`` with and
 without --point, ``psi``, ``formal-group`` at its default order and at
 --m 3 --order 12, and ``seq``; ``profile`` and ``kval`` of torsion
 points, one of them a 2-torsion point in E_1, so n_P = 1 < 2; ``kval
 --mode direct`` at the --n-max 200 guardrail on four corpus points, and
 ``kval`` where phi_2(P) = 0 and on a model integral only at p; ``psi`` at
 --n-max 200, at a torsion point, on a model integral only at p and at a
-point with denominators; and the exit-2/3 error paths, among them one
-``formal-group`` just above the --order cap and ``verify`` on four
-malformed one-entry corpora and, at --n-max 0, on one with no entries,
-which the script writes to a temporary directory.  The argv is printed with that
-directory as ``{tmp}``, so digests from two runs compare line by line.
+point with denominators; ``verify`` on a one-entry corpus whose model is
+integral only at p (37a scaled by u = 2, at p = 2) and on one whose point
+is torsion (exit 3); and the exit-2/3 error paths, among them one
+``formal-group`` just above the --order cap, a coefficient written with an
+exponent, and ``verify`` on four malformed one-entry corpora and, at
+--n-max 0, on one with no entries.  The script writes the corpora to a
+temporary directory and prints the argv with that directory as ``{tmp}``,
+so digests from two runs compare line by line.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from gcval.cli import main
 
 #: one-line corpora: four whose single entry is malformed (a Kodaira pin
 #: that is no Kodaira symbol, flags that are no list, a c_v pin that is a
-#: string, misspelled pin keys) and one with only a comment
+#: string, misspelled pin keys), one with only a comment, 37a scaled by
+#: u = 2 (integral at 2 only after scaling back) and a torsion point
 _ENTRY = '"label": "bad", "a": ["0","0","1","-1","0"], "point": ["0","0"], "prime": 5'
 CORPORA = {
     "bad-kodaira.jsonl": "{" + _ENTRY + ', "expect": {"kodaira": "Q7"}}',
@@ -47,6 +53,10 @@ CORPORA = {
     "bad-cv.jsonl": "{" + _ENTRY + ', "expect": {"cv": "2"}}',
     "bad-key.jsonl": "{" + _ENTRY + ', "expect": {"kodaria": "I5", "CV": 9}}',
     "empty.jsonl": "# no entries",
+    "scaled-37a.jsonl": '{"label": "s", "a": ["0","0","1/8","-1/16","0"], '
+                        '"point": ["0","0"], "prime": 2}',
+    "torsion.jsonl": '{"label": "t", "a": ["0","0","0","0","1"], '
+                     '"point": ["2","3"], "prime": 5}',
 }
 
 OTHER_COMMANDS = (
@@ -73,8 +83,10 @@ OTHER_COMMANDS = (
     "psi --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 2",
     "psi --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 3",
     "psi --curve 0,0,1,-1,0 --point 1/4,-5/8 --prime 2",
+    "verify --corpus {tmp}/scaled-37a.jsonl",
     # exit 2: malformed input
     "profile --curve 0,0,0,0 --prime 5",
+    "profile --curve 0,0,0,0,1e300000 --prime 5",  # no exponents
     "profile --prime 5",
     "kval --curve 0,0,0,0,1 --point 1,1 --prime 5 --n-max 3",
     "kval --curve 0,0,1,-1,0 --point 0,0 --prime 2 --n-max 201",
@@ -97,6 +109,7 @@ OTHER_COMMANDS = (
     "kval --curve 0,0,0,0,1 --point 2,3 --prime 5 --n-max 3 --mode formula",
     "kval --curve 0,0,0,0,1 --point 2,3 --prime 5 --n-max 3 --mode direct",
     "kval --curve 1,-1,0,-4,3 --point 3/4,-3/8 --prime 2 --n-max 3 --mode both",
+    "verify --corpus {tmp}/torsion.jsonl",
     "psi --curve 0,0,0,0,1 --point 2,3 --prime 4 --n-max 3",
     "psi --curve 0,0,0,-1,0 --point 1,0 --prime 5",  # 2-torsion
     "seq --sn 2 1 0 1 0 4 1",
@@ -125,7 +138,7 @@ def corpus_commands():
 
 
 def commands():
-    for n_max in ("40", "60", "100"):
+    for n_max in ("1", "3", "24", "25", "40", "60", "100"):
         yield ["verify", "--n-max", n_max]
     yield from corpus_commands()
     for text in OTHER_COMMANDS:

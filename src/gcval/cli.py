@@ -7,7 +7,10 @@ identical inputs give byte-identical reports.
 Exit codes: 0 success, 1 verification mismatch, 2 malformed input,
 3 precondition violation (torsion point, singular curve, non-prime),
 4 internal failure (a failed consistency check, an unsupported case, or
-any other exception), reported as one line on stderr.  ``--n-max`` above
+any other exception), reported as one line on stderr.  ``verify`` prints
+its full report and exits with the largest code among its entries: 1 for
+a mismatch, a failed check or a failed pin, else the code of the
+exception the entry raised.  ``--n-max`` above
 N_MAX_GUARDRAIL and a ``formal-group`` order (default p^2+1) above
 ORDER_GUARDRAIL exit 2.
 
@@ -29,11 +32,10 @@ from .curve_core import (
     Point,
     WeierstrassModel,
     assert_infinite_order,
-    integralize_at,
+    integralize_point_at,
     map_point,
-    require_on_curve,
 )
-from .divpoly import psi_sequence
+from .divpoly import division_table, psi_sequence
 from .engine import (
     classify_row,
     k_direct_range,
@@ -41,7 +43,14 @@ from .engine import (
     row_is_flagged,
     table_decomposition,
 )
-from .errors import InputError, PreconditionError, TorsionPointError
+from .errors import (
+    EXIT_INTERNAL,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    InputError,
+    TorsionPointError,
+    exit_code,
+)
 from .exact_numbers import (
     INFINITY,
     check_prime,
@@ -54,12 +63,6 @@ from .formal_group import StaircaseParams, mult_by_m_series, staircase_j
 from .profile import compute_profile, point_is_singular
 from .sequences import r_n, s_n
 from .tate import run_tate
-
-EXIT_OK = 0
-EXIT_MISMATCH = 1
-EXIT_INPUT = 2
-EXIT_PRECONDITION = 3
-EXIT_INTERNAL = 4
 
 #: digit counts grow quadratically in n, so refuse unbounded sweeps
 N_MAX_GUARDRAIL = 200
@@ -98,22 +101,10 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
-def _prepare(model: WeierstrassModel, point: Point | None, p: int):
-    """Integralize at p (clearing denominators is the caller's job for the
-    Tate runner proper) and map the point along."""
-    check_prime(p)
-    model2, change = integralize_at(model, p)
-    pt2 = None
-    if point is not None:
-        require_on_curve(model, point)
-        pt2 = map_point(change, point)
-    return model2, pt2
-
-
 def cmd_profile(args) -> int:
     model = _parse_curve(args.curve)
     point = _parse_point(args.point) if args.point else None
-    model, point = _prepare(model, point, args.prime)
+    model, point = integralize_point_at(model, point, args.prime)
     tate = run_tate(model, args.prime)
     out = {
         "kodaira": str(tate.kodaira),
@@ -166,7 +157,7 @@ def cmd_profile(args) -> int:
 def cmd_kval(args) -> int:
     model = _parse_curve(args.curve)
     point = _parse_point(args.point)
-    model, point = _prepare(model, point, args.prime)
+    model, point = integralize_point_at(model, point, args.prime)
     n_max = _check_n_max(args.n_max)
     mode = args.mode
     tate = run_tate(model, args.prime)
@@ -175,10 +166,9 @@ def cmd_kval(args) -> int:
     if mode in ("direct", "both"):
         pt = prof.point if prof else assert_infinite_order(
             tate.minimal_model, map_point(tate.to_minimal, point))
-        direct = {n: (k, vphi, vpsi)
-                  for n, k, vphi, vpsi in k_direct_range(
-                      tate.minimal_model, pt, args.prime, n_max)}
-    exit_code = EXIT_OK
+        table = division_table(tate.minimal_model, pt, args.prime, n_max)
+        direct = {n: (k, vphi, vpsi) for n, k, vphi, vpsi in k_direct_range(table, n_max)}
+    code = EXIT_OK
     for n in range(1, n_max + 1):
         line = {"n": n}
         if prof is not None:
@@ -191,15 +181,15 @@ def cmd_kval(args) -> int:
         if mode == "both":
             line["match"] = line["kFormula"] == direct[n][0]
             if not line["match"]:
-                exit_code = EXIT_MISMATCH
+                code = EXIT_MISMATCH
         _emit(line)
-    return exit_code
+    return code
 
 
 def cmd_psi(args) -> int:
     model = _parse_curve(args.curve)
     point = _parse_point(args.point)
-    model, point = _prepare(model, point, args.prime)
+    model, point = integralize_point_at(model, point, args.prime)
     n_max = _check_n_max(args.n_max)
     seq = psi_sequence(model, point, args.prime, n_max)
     for n, v_phi, v_psi in seq.valuations:
@@ -215,7 +205,7 @@ def cmd_psi(args) -> int:
 
 def cmd_formal_group(args) -> int:
     model = _parse_curve(args.curve)
-    model, _ = _prepare(model, None, args.prime)
+    model, _ = integralize_point_at(model, None, args.prime)
     m = args.prime if args.m is None else args.m
     order = args.prime ** 2 + 1 if args.order is None else args.order
     if order > ORDER_GUARDRAIL:
@@ -332,16 +322,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:
-        # a bug, not a mismatch: one line and no traceback
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code = exit_code(exc)
+        if code == EXIT_INTERNAL:
+            # a bug, not a mismatch: one line and no traceback
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ arbitrary-precision values survive round-trips.
 ``verify_corpus`` runs, per entry, the end-to-end theorem comparison
 (closed form vs. division-polynomial oracle) plus the full invariant suite
 of the profile/engine layers, and aggregates which table rows the corpus
-covers.
+covers.  Each entry's model is integralized at p, as the command line does,
+and one division table, built to index max(n_max, 24) on the minimal model,
+feeds both the oracle and the division-polynomial identities.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import json
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .curve_core import Point, WeierstrassModel, multiples, on_curve
-from .divpoly import psi2_squared_x, psi_phi_valuations, psi_sequence
+from .curve_core import Point, WeierstrassModel, integralize_point_at, multiples, on_curve
+from .divpoly import division_table, psi2_squared_x
 from .engine import (
     REQUIRED_ROWS,
     classify_row,
@@ -30,7 +32,7 @@ from .engine import (
     row_is_flagged,
     table_decomposition,
 )
-from .errors import InputError, ToolkitError
+from .errors import EXIT_MISMATCH, EXIT_OK, InputError, ToolkitError, exit_code
 from .exact_numbers import INFINITY, is_prime, parse_rational, val, val_to_json
 from .formal_group import unit_exponent_scan
 from .profile import compute_profile, point_is_singular
@@ -168,11 +170,16 @@ class EntryReport:
     check_failures: list = field(default_factory=list)
     expect_ok: bool = True
     error: str | None = None
+    error_code: int = EXIT_OK  # the exit code of the exception in ``error``
+
+    @property
+    def exit_code(self) -> int:
+        failed = self.mismatches or self.check_failures or not self.expect_ok
+        return max(EXIT_MISMATCH if failed else EXIT_OK, self.error_code)
 
     @property
     def ok(self) -> bool:
-        return (self.error is None and not self.mismatches
-                and not self.check_failures and self.expect_ok)
+        return self.exit_code == EXIT_OK
 
     def to_json(self) -> dict:
         out = {
@@ -203,22 +210,23 @@ _STRUCTURAL_INDEX = 24
 _X_MULTIPLE_INDEX = 20
 
 
-def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
-                       scan) -> None:
+def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
     """Per-entry identity suite; failures are appended to the report.
 
-    ``seq`` is the exact psi_n / phi_n table on the minimal model, built to
-    index 24; ``scan`` is the unit-exponent scan of a non-singular point
-    (every point on good reduction is one), else None.
+    ``table`` is the division table at the profile's point on the minimal
+    model, built to index 24 or more; ``scan`` is the unit-exponent scan of
+    a non-singular point (every point on good reduction is one), else None.
     """
-    model = tate.minimal_model
+    model, p = tate.minimal_model, table.p
     pt = prof.point
 
     def fail(name, detail=""):
         report.check_failures.append(f"{name}{': ' + detail if detail else ''}")
 
-    # x([n]P) psi_n^2 = phi_n for n <= 20, on the profile's walk and on
-    # its continuation past [max(16, n_P)]P
+    # the table's integers W_n = c^(n^2-1) psi_n and Phi_n = c^(2n^2) phi_n
+    w = [table.scaled_psi(n) for n in range(_STRUCTURAL_INDEX + 1)]
+    # x([n]P) psi_n^2 = phi_n, as x([n]P) c^2 W_n^2 = Phi_n, for n <= 20, on
+    # the profile's walk and on its continuation past [max(16, n_P)]P
     points = prof.walk[:_X_MULTIPLE_INDEX]
     points += tuple(islice(multiples(model, pt, after=points[-1]),
                            _X_MULTIPLE_INDEX - len(points)))
@@ -226,11 +234,10 @@ def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
         if q.is_infinity:
             fail("multiple-infinite", f"[{n}]P = O")
             break
-        if q.x * seq.psi_squared(n) != seq.phi(n):
+        if q.x * (table.c * w[n]) ** 2 != table.scaled_phi(n):
             fail("x-multiple-identity", f"n={n}")
-    # elliptic divisibility relation at the point, on the table's integers
-    # W_n = c^(n^2-1) psi_n: both sides have weight 2m^2 + 2n^2 - 2 in c
-    w = [seq.scaled_psi(n) for n in range(_STRUCTURAL_INDEX + 1)]
+    # elliptic divisibility relation at the point, on the integers W_n:
+    # both sides have weight 2m^2 + 2n^2 - 2 in c
     for mm in range(2, 13):
         for nn in range(1, mm):
             lhs = w[mm + nn] * w[mm - nn]
@@ -247,14 +254,15 @@ def _structural_checks(report: EntryReport, tate, prof, p: int, seq,
             or rerun.v_delta != tate.v_delta or not rerun.to_minimal.is_identity()):
         fail("minimality-idempotence")
 
-    # valuation identities on the normalized model
+    # valuation identities; the normalized model is a u = 1 translation of
+    # the minimal one, which moves no psi/phi valuation
     norm = tate.normalized_model
     npt = prof.point_normalized
     if prof.singular:
         if prof.m_p == 2 and prof.v_phi2 != prof.v_psi3:
             fail("mp2-phi2-psi3")
         if prof.m_p == 3 and tate.reduction == "additive":
-            rows = psi_phi_valuations(norm, npt, p, 3)
+            rows = table.valuations(3)
             if rows[2][1] != 6 * rows[1][2]:  # v(phi_3) = 3 v(psi_2^2)
                 fail("mp3-phi3-psi2sq")
         if k.series == "I*" and k.m >= 1:
@@ -331,8 +339,7 @@ def _check_expect(report: EntryReport, entry: CorpusEntry, tate, prof, row) -> N
 def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
     report = EntryReport(label=entry.label)
     try:
-        model = entry.model()
-        pt = entry.curve_point()
+        model, pt = integralize_point_at(entry.model(), entry.curve_point(), entry.prime)
         tate = run_tate(model, entry.prime)
         prof = compute_profile(tate, pt)
         row = classify_row(prof)
@@ -346,7 +353,9 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
         report.v_delta = tate.v_delta
         report.n_checked = n_max
 
-        rows = k_direct_range(tate.minimal_model, prof.point, entry.prime, n_max)
+        table = division_table(tate.minimal_model, prof.point, entry.prime,
+                               max(n_max, _STRUCTURAL_INDEX))
+        rows = k_direct_range(table, n_max)
         for (n, k, _vphi, _vpsi) in rows:
             kf = k_formula(prof, n)
             if kf != k:
@@ -356,13 +365,12 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
             table_decomposition(prof)  # raises InternalError on inconsistency
         scan = (None if prof.singular
                 else unit_exponent_scan(tate.minimal_model, entry.prime))
-        seq = psi_sequence(tate.minimal_model, prof.point, entry.prime,
-                           _STRUCTURAL_INDEX)
-        _structural_checks(report, tate, prof, entry.prime, seq, scan)
+        _structural_checks(report, tate, prof, table, scan)
         _prediction_checks(report, tate, prof, rows, scan)
         _check_expect(report, entry, tate, prof, row)
-    except ToolkitError as exc:
+    except Exception as exc:  # reported with its exit code, as cli.main would
         report.error = f"{type(exc).__name__}: {exc}"
+        report.error_code = exit_code(exc)
     return report
 
 
@@ -376,7 +384,9 @@ class VerificationReport:
 
     @property
     def exit_code(self) -> int:
-        return 0 if all(e.ok for e in self.entries) else 1
+        """The largest entry code: 1 for a failed comparison or check, 2-4
+        for an entry that raised, as ``errors.exit_code`` maps it."""
+        return max((e.exit_code for e in self.entries), default=EXIT_OK)
 
     def to_json(self) -> dict:
         return {

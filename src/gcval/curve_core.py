@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, SingularCurveError, TorsionPointError
-from .exact_numbers import Rational, format_rational, parse_rational, val
+from .exact_numbers import Rational, check_prime, format_rational, parse_rational, val
 
 
 def as_rational(x) -> Fraction:
@@ -290,3 +290,13 @@ def integralize_at(model: WeierstrassModel, p: int):
         return model, CoordinateChange.identity()
     change = CoordinateChange(u=Fraction(1, p ** k))
     return apply_change(model, change), change
+
+
+def integralize_point_at(model: WeierstrassModel, point: Point | None, p: int):
+    """(model integralized at p, the point mapped along), for a prime p and
+    a point on the curve or None; the model then suits run_tate."""
+    check_prime(p)
+    model2, change = integralize_at(model, p)
+    if point is None:
+        return model2, None
+    return model2, map_point(change, require_on_curve(model, point))

@@ -8,10 +8,12 @@ dividing U: a product adds exponents, a difference of two terms has a
 known exponent unless the two tie, and only then is p split off.
 Phi_n = c^(2n^2) phi_n = X W_n^2 - W_(n-1) W_(n+1).
 
-Two readers sit on that table.  ``psi_phi_valuations``, the oracle, reads
-v_p(psi_n) and v_p(phi_n) off the exponents and forms Phi_n only on a tie.
-``psi_sequence`` rebuilds the exact values psi_n = p^k U / c^(n^2-1) and
-phi_n = Phi_n / c^(2n^2) for ``gcval psi`` and the structural checks.
+``division_table`` builds that table once, as a ``DivisionTable`` value
+with three readers: ``valuations`` reads v_p(phi_n) and v_p(psi_n) off
+the exponents (the oracle) and forms Phi_n only on a tie, ``scaled_psi``
+joins the integer W_n and ``scaled_phi`` the integer Phi_n (the
+structural checks).  ``psi_sequence`` rebuilds the exact values
+psi_n = W_n / c^(n^2-1) and phi_n = Phi_n / c^(2n^2) for ``gcval psi``.
 """
 
 from __future__ import annotations
@@ -56,28 +58,14 @@ class DivPolySequence:
     n_max: int
     #: [(n, v_p(phi_n), v_p(psi_n))] for 1 <= n <= n_max, at the table's prime
     valuations: list = field(repr=False)
-    _w: dict = field(repr=False)  # n -> the integer W_n, for n in _psi
     _psi: dict = field(repr=False)  # n -> psi_n(P), for -1 <= n <= max(4, n_max + 1)
     _phi: dict = field(repr=False)  # n -> phi_n(P), for 1 <= n <= n_max
 
-    def _get(self, table: dict, name: str, n: int):
-        if n not in table:
-            raise InputError(f"{name}_{n} not in table (n_max={self.n_max})")
-        return table[n]
-
     def psi(self, n: int) -> Rational:
-        return self._get(self._psi, "psi", n)
-
-    def psi_squared(self, n: int) -> Rational:
-        v = self.psi(n)
-        return v * v
-
-    def scaled_psi(self, n: int) -> int:
-        """The integer W_n = c^(n^2-1) psi_n(P)."""
-        return self._get(self._w, "W", n)
+        return self._psi[n]
 
     def phi(self, n: int) -> Rational:
-        return self._get(self._phi, "phi", n)
+        return self._phi[n]
 
 
 #: zero as a p-split integer (k, U): every product with it stays zero
@@ -115,9 +103,42 @@ def _integral_scale(model: WeierstrassModel, point: Point) -> int:
     return u * isqrt((u * u * point.x).denominator)
 
 
-def _split_table(model: WeierstrassModel, point: Point, p: int,
-                 n_max: int) -> tuple[int, tuple, list]:
-    """(c, X, [W_-1, W_0, ..., W_max(4, n_max+1)]) with X and each W_n p-split.
+@dataclass(frozen=True)
+class DivisionTable:
+    """W_-1..W_max(4, n_max+1) at a point, each split at p as (k, U)."""
+
+    p: int
+    c: int  # W_n = c^(n^2-1) psi_n(P)
+    x: tuple  # X = c^2 x(P)
+    w: tuple  # W_n at index n + 1
+
+    def scaled_psi(self, n: int) -> int:
+        """The integer W_n."""
+        return _join(self.w[n + 1], self.p)
+
+    def scaled_phi(self, n: int) -> int:
+        """The integer Phi_n = c^(2n^2) phi_n(P) = X W_n^2 - W_(n-1) W_(n+1)."""
+        w = self.scaled_psi
+        return _join(self.x, self.p) * w(n) ** 2 - w(n - 1) * w(n + 1)
+
+    def valuations(self, n_max: int) -> list[tuple[int, Valuation, Valuation]]:
+        """[(n, v_p(phi_n), v_p(psi_n))] for n = 1..n_max, without building
+        a value."""
+        p, w = self.p, self.w
+        v_scale = p_split(self.c, p)[0]
+        kx, ux = self.x
+        out = []
+        for n in range(1, n_max + 1):
+            (kl, ul), (kn, un), (kr, ur) = w[n], w[n + 1], w[n + 2]
+            ka, kb = kx + 2 * kn, kl + kr  # exponents of X W_n^2 and W_(n-1) W_(n+1)
+            k_phi = min(ka, kb) if ka != kb else _sub((ka, ux * un * un), (kb, ul * ur), p)[0]
+            out.append((n, k_phi - 2 * n * n * v_scale, kn - (n * n - 1) * v_scale))
+        return out
+
+
+def division_table(model: WeierstrassModel, point: Point, p: int,
+                   n_max: int) -> DivisionTable:
+    """The table W_-1..W_max(4, n_max+1) at the point, split at p.
 
     Requires n_max >= 1, a prime p and an affine point on the curve that is
     not 2-torsion (the even step divides exactly by W_2).
@@ -164,44 +185,16 @@ def _split_table(model: WeierstrassModel, point: Point, p: int,
             if r:
                 raise InternalError(f"W_2 does not divide the even step at n = {n}")
             w.append((k - k2, q))
-    return c, big_x, w
-
-
-def _exponents(p: int, n_max: int, c: int, big_x: tuple,
-               w: list) -> list[tuple[int, Valuation, Valuation]]:
-    """[(n, v_p(phi_n), v_p(psi_n))] for n = 1..n_max, off a split table."""
-    v_scale = p_split(c, p)[0]
-    kx, ux = big_x
-    out = []
-    for n in range(1, n_max + 1):
-        (kl, ul), (kn, un), (kr, ur) = w[n], w[n + 1], w[n + 2]
-        ka, kb = kx + 2 * kn, kl + kr  # exponents of X W_n^2 and W_(n-1) W_(n+1)
-        k_phi = min(ka, kb) if ka != kb else _sub((ka, ux * un * un), (kb, ul * ur), p)[0]
-        out.append((n, k_phi - 2 * n * n * v_scale, kn - (n * n - 1) * v_scale))
-    return out
-
-
-def psi_phi_valuations(model: WeierstrassModel, point: Point, p: int,
-                       n_max: int) -> list[tuple[int, Valuation, Valuation]]:
-    """[(n, v_p(phi_n(P)), v_p(psi_n(P)))] for n = 1..n_max, without
-    building a value."""
-    return _exponents(p, n_max, *_split_table(model, point, p, n_max))
+    return DivisionTable(p, c, big_x, tuple(w))
 
 
 def psi_sequence(model: WeierstrassModel, point: Point, p: int,
                  n_max: int) -> DivPolySequence:
-    """psi_-1..psi_{max(4, n_max+1)} and phi_1..phi_{n_max} at the point, exact.
-
-    The values are rebuilt from the table split at p, which also gives
-    their valuations at p.
-    """
-    c, big_x, w = _split_table(model, point, p, n_max)
-    ints = {n: _join(a, p) for n, a in enumerate(w, start=-1)}
+    """psi_-1..psi_{max(4, n_max+1)} and phi_1..phi_{n_max} at the point, exact,
+    rebuilt from the division table split at p, with their valuations."""
+    t = division_table(model, point, p, n_max)
     psi = {-1: Fraction(-1), 0: Fraction(0)}
-    psi.update((n, Fraction(ints[n], c ** (n * n - 1))) for n in range(1, len(w) - 1))
-    x_int = _join(big_x, p)
-    phi = {n: Fraction(x_int * ints[n] ** 2 - ints[n - 1] * ints[n + 1],
-                       c ** (2 * n * n))
-           for n in range(1, n_max + 1)}
-    return DivPolySequence(model, point, n_max, _exponents(p, n_max, c, big_x, w),
-                           ints, psi, phi)
+    psi.update((n, Fraction(t.scaled_psi(n), t.c ** (n * n - 1)))
+               for n in range(1, len(t.w) - 1))
+    phi = {n: Fraction(t.scaled_phi(n), t.c ** (2 * n * n)) for n in range(1, n_max + 1)}
+    return DivPolySequence(model, point, n_max, t.valuations(n_max), psi, phi)

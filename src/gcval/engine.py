@@ -3,9 +3,9 @@
 Two independent routes are provided and must agree:
 
 * ``k_direct_range`` -- the ground-truth oracle: read v_p(phi_n) and
-  v_p(psi_n) off the division-polynomial table at the point, split at p
-  (``divpoly.psi_phi_valuations``, which builds no value), and take the
-  min of v_p(phi_n) and v_p(psi_n^2), for n = 1..n_max;
+  v_p(psi_n) off a division table at the point, split at p
+  (``divpoly.division_table``, whose valuations build no value), and take
+  the min of v_p(phi_n) and v_p(psi_n^2), for n = 1..n_max;
 * ``k_formula`` -- the closed form, dispatched on the reduction profile
   (non-singular branch, multiplicative branch via r_n, additive branches
   via the psi_2^2 / psi_3 valuations).
@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve_core import Point, WeierstrassModel
-from .divpoly import psi_phi_valuations
+from .divpoly import DivisionTable
 from .errors import (
     InputError,
     InternalError,
@@ -108,14 +107,15 @@ def row_is_flagged(row: str) -> bool:
     return row in FLAGGED_ROWS
 
 
-def k_direct_range(model: WeierstrassModel, point: Point, p: int, n_max: int):
-    """[(n, k, v_phi, v_psi_sq)] for n = 1..n_max, from one p-split table.
+def k_direct_range(table: DivisionTable, n_max: int):
+    """[(n, k, v_phi, v_psi_sq)] for n = 1..n_max, off a table built to at
+    least n_max.
 
     The point's infinite order is the caller's to assert (compute_profile
     does it on the same minimal-model point).
     """
     return [(n, min(v_phi, 2 * v_psi), v_phi, 2 * v_psi)
-            for n, v_phi, v_psi in psi_phi_valuations(model, point, p, n_max)]
+            for n, v_phi, v_psi in table.valuations(n_max)]
 
 
 def _exact_int(numerator: int, denominator: int) -> int:

@@ -1,12 +1,19 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the exit codes the command line maps it to.
 
-At the CLI boundary, InputError maps to exit code 2 (malformed input),
+``exit_code`` maps InputError to exit code 2 (malformed input),
 PreconditionError to exit code 3 (well-formed input that violates a stated
 precondition: torsion point, singular curve, non-prime modulus), and
 InternalError, UnsupportedCaseError and any exception outside this
 hierarchy to exit code 4 (internal failure).  Exit code 1 is kept for a
-verification mismatch.
+verification mismatch.  ``cli.main`` applies it to the exception a command
+raises, and the verification report to each corpus entry's exception.
 """
+
+EXIT_OK = 0
+EXIT_MISMATCH = 1
+EXIT_INPUT = 2
+EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 class ToolkitError(Exception):
@@ -48,3 +55,10 @@ class UnsupportedCaseError(ToolkitError):
 class InternalError(ToolkitError):
     """An internal consistency check failed; this indicates a bug."""
 
+
+def exit_code(exc: BaseException) -> int:
+    if isinstance(exc, PreconditionError):
+        return EXIT_PRECONDITION
+    if isinstance(exc, InputError):
+        return EXIT_INPUT
+    return EXIT_INTERNAL

@@ -125,9 +125,17 @@ def int_val(q, p: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'num' or 'num/den' into an exact rational."""
+    """Parse 'num', 'num/den' or a decimal 'num.digits' into an exact rational.
+
+    An exponent ('1e5') is refused before any integer is built: Fraction
+    would make 10^k from it without converting a string, out of reach of
+    CPython's limit on int-from-str conversion (4300 digits by default),
+    which bounds every form accepted here.
+    """
     if not isinstance(text, str):
         raise InputError(f"expected a rational string, got {text!r}")
+    if "e" in text or "E" in text:
+        raise InputError(f"bad rational {text!r}: exponents are not accepted")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -139,8 +147,8 @@ def format_rational(q) -> str:
 
     The digits go through Decimal, which CPython's limit on int-to-str
     conversion (4300 digits by default) does not cover, so psi_n and phi_n
-    print in full up to the n_max guardrail.  The limit still guards
-    parse_rational.
+    print in full up to the n_max guardrail.  The limit still bounds what
+    parse_rational reads.
     """
     q = Fraction(q)
     num = str(Decimal(q.numerator))

@@ -145,8 +145,8 @@ def test_a5_structural_identities(corpus_profiles):
         seq = psi_sequence(model, pt, entry.prime, 24)
         for n in range(1, 21):
             q = mul(model, n, pt)
-            assert q.x * seq.psi_squared(n) == seq.phi(n), (entry.label, n)
-        assert seq.psi_squared(2) == psi2_squared_x(model, pt.x), entry.label
+            assert q.x * seq.psi(n) ** 2 == seq.phi(n), (entry.label, n)
+        assert seq.psi(2) ** 2 == psi2_squared_x(model, pt.x), entry.label
         assert seq.phi(2) == phi2_x(model, pt.x), entry.label
         for m in range(2, 13):
             for n in range(1, m):

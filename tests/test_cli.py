@@ -282,6 +282,49 @@ def test_verify_detects_wrong_expectation(tmp_path, capsys):
     assert not lines[0]["entries"][0]["expectOk"]
 
 
+TORSION_ENTRY = ('{"label": "t", "a": ["0","0","0","0","1"], '
+                 '"point": ["2","3"], "prime": 5}')
+
+
+def test_verify_exit_code_is_the_largest_entry_code(tmp_path, capsys, monkeypatch):
+    # a crash inside an entry must not read as a verification mismatch:
+    # the full report still prints, and the exit code is the one main gives
+    # the entry's exception
+    path = tmp_path / "torsion.jsonl"
+    path.write_text(TORSION_ENTRY + "\n")
+    code, lines = run_cli(capsys, "verify", "--corpus", str(path), "--n-max", "3")
+    assert code == lines[0]["summary"]["exitCode"] == 3
+    assert lines[0]["entries"][0]["error"].startswith("TorsionPointError: ")
+    # with a wrong pin (exit 1 on its own) beside it, the torsion entry wins
+    first = load_corpus(CORPUS_PATH)[0]
+    wrong = json.loads(entry_to_json(first))
+    wrong["expect"] = {"kodaira": "II*"}
+    path.write_text(json.dumps(wrong) + "\n" + TORSION_ENTRY + "\n")
+    code, lines = run_cli(capsys, "verify", "--corpus", str(path), "--n-max", "3")
+    assert code == lines[0]["summary"]["exitCode"] == 3
+    assert lines[0]["summary"]["failures"] == 2
+
+    import gcval.corpus as corpus_mod
+
+    for exc in (InternalError("broken decomposition"), ValueError("not a toolkit error")):
+        def broken(prof):
+            raise exc
+
+        monkeypatch.setattr(corpus_mod, "table_decomposition", broken)
+        code, lines = run_cli(capsys, "verify", "--n-max", "3")
+        assert code == lines[0]["summary"]["exitCode"] == 4
+        report = lines[0]
+        assert len(report["entries"]) == len(load_corpus(CORPUS_PATH))
+        errors = [e["error"] for e in report["entries"] if "error" in e]
+        assert errors and set(errors) == {f"{type(exc).__name__}: {exc}"}
+
+
+def test_exponents_are_refused(capsys):
+    # 10^300000 would be built without any string conversion
+    assert main(["profile", "--curve", "0,0,0,0,1e300000", "--prime", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad rational '1e300000'")
+
+
 def test_verify_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "verify", "--n-max", "4")
     _, second = run_cli(capsys, "verify", "--n-max", "4")

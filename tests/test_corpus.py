@@ -1,9 +1,12 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
 
+from gcval import divpoly
 from gcval.corpus import (
+    CorpusEntry,
     CorpusParseError,
     EntryReport,
     _structural_checks,
@@ -12,7 +15,6 @@ from gcval.corpus import (
     verify_entry,
 )
 from gcval.curve_core import on_curve
-from gcval.divpoly import psi_sequence
 from gcval.formal_group import unit_exponent_scan
 
 
@@ -101,36 +103,80 @@ def test_torsion_entry_is_reported_not_raised(tmp_path):
     assert not report.ok
 
 
-def structural_failures(tate, prof, seq):
+def test_entry_integral_only_at_p_is_integralized_first(tmp_path):
+    # 37a scaled by u = 2: integral at 2 once scaled back, as kval does
+    path = tmp_path / "scaled.jsonl"
+    path.write_text('{"label": "s", "a": ["0","0","1/8","-1/16","0"], '
+                    '"point": ["0","0"], "prime": 2}\n')
+    report = verify_entry(load_corpus(path)[0], n_max=40)
+    assert report.ok and report.error is None
+    plain = CorpusEntry("s", ("0", "0", "1", "-1", "0"), ("0", "0"), 2)
+    assert report.to_json() == verify_entry(plain, n_max=40).to_json()
+
+
+def spy(monkeypatch, name):
+    """Record the arguments of every call to divpoly.<name>, through any
+    gcval module that binds it."""
+    original, calls = getattr(divpoly, name), []
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("gcval")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n_max", [3, 30])
+def test_verify_entry_builds_one_division_table(corpus_entries, monkeypatch, n_max):
+    # the oracle and every division-polynomial check read the same table,
+    # built to max(n_max, 24); no exact psi_n is rebuilt on the way
+    tables = spy(monkeypatch, "division_table")
+    sequences = spy(monkeypatch, "psi_sequence")
+    for entry in corpus_entries:
+        tables.clear()
+        assert verify_entry(entry, n_max=n_max).ok, entry.label
+        assert [args[3] for args in tables] == [max(n_max, 24)], entry.label
+    assert sequences == []
+
+
+def structural_failures(tate, prof, table):
     report = EntryReport(label="structural")
     scan = None if prof.singular else unit_exponent_scan(tate.minimal_model, tate.p)
-    _structural_checks(report, tate, prof, tate.p, seq, scan)
+    _structural_checks(report, tate, prof, table, scan)
     return report.check_failures
 
 
 @pytest.fixture(scope="module")
 def structural_case(corpus_profiles):
-    """(tate, profile, psi table to index 24) of the first corpus entry."""
+    """(tate, profile, division table to index 24) of the first corpus entry."""
     _entry, tate, prof, _row = corpus_profiles[0]
-    return tate, prof, psi_sequence(tate.minimal_model, prof.point, tate.p, 24)
+    return tate, prof, divpoly.division_table(tate.minimal_model, prof.point, tate.p, 24)
 
 
 def test_perturbed_psi_fails_the_divisibility_identity(structural_case):
-    tate, prof, seq = structural_case
-    # psi_7 doubled, as a value and as the integer W_7 the identity reads
-    bad = replace(seq, _psi={**seq._psi, 7: seq.psi(7) * 2},
-                  _w={**seq._w, 7: seq.scaled_psi(7) * 2})
+    tate, prof, table = structural_case
+    assert structural_failures(tate, prof, table) == []
+    # W_7, at index 8 of the table, doubled
+    k, u = table.w[8]
+    bad = replace(table, w=table.w[:8] + ((k, 2 * u),) + table.w[9:])
     failures = structural_failures(tate, prof, bad)
     divisibility = [f for f in failures if f.startswith("divisibility-identity")]
     # psi_7 enters at m + n = 7, m +- 1 = 7, n +- 1 = 7 and m = 7
     assert "divisibility-identity: (m,n)=(4,3)" in divisibility
     assert "divisibility-identity: (m,n)=(8,7)" in divisibility
-    assert set(failures) - set(divisibility) == {"x-multiple-identity: n=7"}
+    # Phi_6 = X W_6^2 - W_5 W_7 and Phi_8 = X W_8^2 - W_7 W_9 read W_7 too
+    assert set(failures) - set(divisibility) == {
+        "x-multiple-identity: n=6", "x-multiple-identity: n=7",
+        "x-multiple-identity: n=8"}
 
 
 def test_perturbed_walk_point_fails_the_x_multiple_identity(structural_case):
-    tate, prof, seq = structural_case
+    tate, prof, table = structural_case
     assert prof.n_p != 3
     walk = prof.walk[:2] + prof.walk[3:4] + prof.walk[3:]  # [4]P for [3]P
-    failures = structural_failures(tate, replace(prof, walk=walk), seq)
+    failures = structural_failures(tate, replace(prof, walk=walk), table)
     assert failures == ["x-multiple-identity: n=3"]

@@ -14,11 +14,11 @@ from gcval.curve_core import (
 )
 from gcval.divpoly import (
     _integral_scale,
+    division_table,
     phi2_x,
     psi2_squared_x,
     psi2_value,
     psi3_value,
-    psi_phi_valuations,
     psi_sequence,
 )
 from gcval.engine import k_direct_range
@@ -79,7 +79,7 @@ def test_x_of_multiple_identity_37a():
     for n in range(1, 21):
         q = mul(E37, n, P37)
         assert not q.is_infinity
-        assert q.x * seq.psi_squared(n) == seq.phi(n)
+        assert q.x * seq.psi(n) ** 2 == seq.phi(n)
 
 
 def test_torsion_vanishing():
@@ -111,10 +111,10 @@ def test_rational_point_with_denominators():
     seq = psi_sequence(E37, q, 2, 8)
     for n in range(1, 9):
         r = mul(E37, n, q)
-        assert r.x * seq.psi_squared(n) == seq.phi(n)
+        assert r.x * seq.psi(n) ** 2 == seq.phi(n)
 
 
-# --- both readers of the p-split table against a Fraction recurrence -------
+# --- the table's readers against a Fraction recurrence ---------------------
 
 def _fraction_table(model, point, n_max):
     """psi_-1..psi_(n_max+1) and phi_1..phi_n_max at an affine point that
@@ -207,33 +207,41 @@ def test_oracle_matches_fraction_table(triple, n_max):
     seq = psi_sequence(model, point, p, n_max)
     assert seq._psi == psi
     assert seq._phi == phi
+    table = division_table(model, point, p, n_max)
     c = _integral_scale(model, point)
-    assert all(seq.scaled_psi(n) == psi[n] * c ** (n * n - 1)
+    assert table.c == c
+    assert all(table.scaled_psi(n) == psi[n] * c ** (n * n - 1)
                for n in range(1, n_max + 2))
+    assert all(table.scaled_phi(n) == phi[n] * c ** (2 * n * n)
+               for n in range(1, n_max + 1))
     want = _reference(model, point, p, n_max)
     assert seq.valuations == want
-    assert psi_phi_valuations(model, point, p, n_max) == want
+    assert table.valuations(n_max) == want
+
+
+def valuations(model, point, p, n_max):
+    return division_table(model, point, p, n_max).valuations(n_max)
 
 
 def test_oracle_examples_hit_their_edges():
-    assert psi_phi_valuations(E37_R1, P37_R1, 2, 2)[1] == (2, INFINITY, 0)
-    assert psi_phi_valuations(E37_2K, P37_2K, 2, 2)[1] == (2, 29, 0)
-    assert psi_phi_valuations(E37_PBIG, P37_PBIG, P_BIG, 2)[1] == (2, 1, 0)
-    assert psi_phi_valuations(E_MORDELL, P_M, 2, 6)[5][2] == INFINITY
+    assert valuations(E37_R1, P37_R1, 2, 2)[1] == (2, INFINITY, 0)
+    assert valuations(E37_2K, P37_2K, 2, 2)[1] == (2, 29, 0)
+    assert valuations(E37_PBIG, P37_PBIG, P_BIG, 2)[1] == (2, 1, 0)
+    assert valuations(E_MORDELL, P_M, 2, 6)[5][2] == INFINITY
     assert val(psi2_value(E_MORDELL, P_M), 2) == val(psi2_value(E_MORDELL, P_M), 3) == 1
-    assert psi_phi_valuations(E37, P37_5, 2, 1) == [(1, -2, 0)]
-    assert psi_phi_valuations(E37_U3, P37, 2, 20) == psi_phi_valuations(E37, P37, 2, 20)
+    assert valuations(E37, P37_5, 2, 1) == [(1, -2, 0)]
+    assert valuations(E37_U3, P37, 2, 20) == valuations(E37, P37, 2, 20)
 
 
 def test_oracle_rejects_what_the_table_rejects():
     with pytest.raises(InputError):
-        psi_phi_valuations(E37, P37, 2, 0)
+        division_table(E37, P37, 2, 0)
     with pytest.raises(InputError):
-        psi_phi_valuations(E37, Point(1, 1), 2, 3)
+        division_table(E37, Point(1, 1), 2, 3)
     with pytest.raises(TwoTorsionError):
-        psi_phi_valuations(WeierstrassModel(0, 0, 0, -1, 0), Point(1, 0), 2, 3)
+        division_table(WeierstrassModel(0, 0, 0, -1, 0), Point(1, 0), 2, 3)
     with pytest.raises(NonPrimeError):
-        psi_phi_valuations(E37, P37, 4, 3)
+        division_table(E37, P37, 4, 3)
 
 
 def test_k_direct_rows_match_fraction_table_on_corpus(corpus_profiles):
@@ -241,5 +249,8 @@ def test_k_direct_rows_match_fraction_table_on_corpus(corpus_profiles):
         want = [(n, min(v_phi, 2 * v_psi), v_phi, 2 * v_psi)
                 for n, v_phi, v_psi in _reference(tate.minimal_model, prof.point,
                                                   entry.prime, 60)]
-        got = k_direct_range(tate.minimal_model, prof.point, entry.prime, 60)
-        assert got == want, entry.label
+        table = division_table(tate.minimal_model, prof.point, entry.prime, 60)
+        assert k_direct_range(table, 60) == want, entry.label
+        # a table built past n_max gives the same first n_max rows
+        deeper = division_table(tate.minimal_model, prof.point, entry.prime, 64)
+        assert k_direct_range(deeper, 60) == want, entry.label

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gcval.curve_core import Point, WeierstrassModel, assert_infinite_order
-from gcval.divpoly import psi_sequence
+from gcval.divpoly import division_table, psi_sequence
 from gcval.engine import (
     ROW_I2MSTAR_C4,
     ROW_III,
@@ -38,14 +38,14 @@ def test_k_direct_guard_and_raw_value():
         assert_infinite_order(model, torsion)
     # the oracle itself takes the raw values:
     # min(v(phi_2), v(psi_2^2)) = min(inf, 2) = 2
-    assert k_direct_range(model, torsion, 2, 2)[1] == (2, 2, INFINITY, 2)
+    assert k_direct_range(division_table(model, torsion, 2, 2), 2)[1] == (2, 2, INFINITY, 2)
 
 
 def test_k_direct_n1():
     # phi_1 = x, psi_1 = 1
     prof = profile_of((0, 0, 1, -1, 0), (Fraction(1, 4), Fraction(-5, 8)), 2)
-    assert k_direct_range(prof.tate.minimal_model, prof.point, 2, 1) == [
-        (1, -2, -2, 0)]
+    table = division_table(prof.tate.minimal_model, prof.point, 2, 1)
+    assert k_direct_range(table, 1) == [(1, -2, -2, 0)]
 
 
 def test_k_formula_nonsingular():
@@ -125,8 +125,8 @@ def test_flagged_rows():
 
 def test_main_theorem_on_every_corpus_entry(corpus_profiles):
     for entry, tate, prof, row in corpus_profiles:
-        for n, k, _, _ in k_direct_range(tate.minimal_model, prof.point,
-                                         entry.prime, 12):
+        table = division_table(tate.minimal_model, prof.point, entry.prime, 12)
+        for n, k, _, _ in k_direct_range(table, 12):
             assert k_formula(prof, n) == k, (entry.label, n)
 
 

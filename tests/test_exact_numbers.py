@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcval.errors import NonPrimeError
+from gcval.errors import InputError, NonPrimeError
 from gcval.exact_numbers import (
     INFINITY,
     format_rational,
@@ -116,6 +116,19 @@ def test_canonical_forms():
     assert format_rational(Fraction(4, -6)) == "-2/3"
     assert format_rational(Fraction(8, 4)) == "2"
     assert parse_rational("7/1") == 7
+
+
+def test_parse_rational_refuses_exponents():
+    for text in ("1e300000", "1E5", "-2.5e-3", "3e0", " 1e2 ", "1_0e1"):
+        with pytest.raises(InputError, match="exponents"):
+            parse_rational(text)
+    # every other form Fraction reads stays accepted
+    assert parse_rational(" -3/4 ") == Fraction(-3, 4)
+    assert parse_rational("2.50") == Fraction(5, 2)
+    assert parse_rational("1_000") == 1000
+    assert parse_rational("+7") == 7
+    with pytest.raises(InputError, match="bad rational"):
+        parse_rational("1" * 5000)  # past the int-from-str limit
 
 
 def test_val_to_json():

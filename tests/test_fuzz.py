@@ -16,6 +16,7 @@ computing [n]P afresh over Q.
 import random
 
 from gcval.curve_core import CoordinateChange, Point, WeierstrassModel, apply_change, map_point, mul, on_curve
+from gcval.divpoly import division_table
 from gcval.engine import classify_row, k_direct_range, k_formula, predict_phi_val, table_decomposition
 from gcval.errors import SingularCurveError, TorsionPointError, TwoTorsionError
 from gcval.exact_numbers import val
@@ -99,7 +100,8 @@ def test_point_first_theorem_fuzz():
             continue
         rows.add(classify_row(prof))
         exercised["singular" if prof.singular else "nonsingular"] += 1
-        for n, k, _, _ in k_direct_range(tate.minimal_model, prof.point, p, 12):
+        table = division_table(tate.minimal_model, prof.point, p, 12)
+        for n, k, _, _ in k_direct_range(table, 12):
             assert k_formula(prof, n) == k, (a1, a2, a3, a4, a6, x, y, p, n)
         if prof.singular:
             table_decomposition(prof)  # internal consistency asserts
@@ -166,7 +168,8 @@ def test_point_first_fuzz_nonminimal_inputs():
         base = run_tate(model, p)
         assert str(tate.kodaira) == str(base.kodaira), (a4, a6, p)
         assert tate.v_delta == base.v_delta
-        for n, k, _, _ in k_direct_range(tate.minimal_model, prof.point, p, 8):
+        table = division_table(tate.minimal_model, prof.point, p, 8)
+        for n, k, _, _ in k_direct_range(table, 8):
             assert k_formula(prof, n) == k
         hits += 1
     assert hits >= 10
