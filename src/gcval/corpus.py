@@ -254,16 +254,18 @@ def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
             or rerun.v_delta != tate.v_delta or not rerun.to_minimal.is_identity()):
         fail("minimality-idempotence")
 
-    # valuation identities; the normalized model is a u = 1 translation of
-    # the minimal one, which moves no psi/phi valuation
+    # valuation identities on the normalized model, x = x' + r from the
+    # minimal one: psi_n is unchanged and phi_n becomes phi_n - r psi_n^2
     norm = tate.normalized_model
     npt = prof.point_normalized
     if prof.singular:
         if prof.m_p == 2 and prof.v_phi2 != prof.v_psi3:
             fail("mp2-phi2-psi3")
         if prof.m_p == 3 and tate.reduction == "additive":
-            rows = table.valuations(3)
-            if rows[2][1] != 6 * rows[1][2]:  # v(phi_3) = 3 v(psi_2^2)
+            # v(phi_3) = 3 v(psi_2^2), as v(Phi_3 - r c^2 W_3^2) = 6 v(W_2)
+            r, c = tate.to_normalized.r, table.c
+            phi3 = table.scaled_phi(3) - r * (c * table.scaled_psi(3)) ** 2
+            if val(phi3, p) != 6 * val(table.scaled_psi(2), p):
                 fail("mp3-phi3-psi2sq")
         if k.series == "I*" and k.m >= 1:
             m = k.m

@@ -16,6 +16,7 @@ from gcval.corpus import (
 )
 from gcval.curve_core import on_curve
 from gcval.formal_group import unit_exponent_scan
+from gcval.tate import run_tate
 
 
 def test_bundled_corpus_loads(corpus_entries):
@@ -112,6 +113,20 @@ def test_entry_integral_only_at_p_is_integralized_first(tmp_path):
     assert report.ok and report.error is None
     plain = CorpusEntry("s", ("0", "0", "1", "-1", "0"), ("0", "0"), 2)
     assert report.to_json() == verify_entry(plain, n_max=40).to_json()
+
+
+def test_mp3_check_reads_phi3_on_the_normalized_model():
+    # IV-p7 moved by x -> x + 1: minimal already, with its cusp at x = -1, so
+    # the normalizing translation has r = -1 mod 7; x([3]P) = 0 mod 7 here and
+    # v(phi_3) on this model exceeds 6 v(psi_2), but not on the normalized one
+    entry = CorpusEntry("IV-p7-shifted", ("0", "3", "0", "3", "-146"), ("6", "14"), 7)
+    tate = run_tate(entry.model(), 7)
+    assert tate.minimal_model == entry.model() and (tate.to_normalized.r + 1) % 7 == 0
+    rows = divpoly.division_table(tate.minimal_model, entry.curve_point(), 7, 3).valuations(3)
+    assert rows[2][1] > 6 * rows[1][2]
+    report = verify_entry(entry, n_max=40)
+    assert report.ok, report.check_failures
+    assert report.row == "IV"
 
 
 def spy(monkeypatch, name):
