@@ -16,8 +16,10 @@ sit either side of that edge); for each entry of the bundled corpus,
 without --point, ``psi``, ``formal-group`` at its default order and at
 --m 3 --order 12, and ``seq``; ``profile`` and ``kval`` of torsion
 points, one of them a 2-torsion point in E_1, so n_P = 1 < 2; ``kval
---mode direct`` at the --n-max 200 guardrail on four corpus points, and
-``kval`` where phi_2(P) = 0 and on a model integral only at p; ``psi`` at
+--mode direct`` at the --n-max 200 guardrail on four corpus points and
+``--mode both`` on one of them; ``kval`` where phi_2(P) = 0, where
+v(phi_2) = 29 takes a tie past its residues modulo 2^29, and on a model
+integral only at p; ``psi`` at
 --n-max 200, at a torsion point, on a model integral only at p and at a
 point with denominators; ``verify`` on a one-entry corpus whose model is
 integral only at p (37a scaled by u = 2, at p = 2) and on one whose point
@@ -71,6 +73,13 @@ OTHER_COMMANDS = (
     "kval --curve 1,0,0,0,-243 --point 9,18 --prime 3 --n-max 200 --mode direct",
     "kval --curve 0,0,1,-1,0 --point 161/16,-2065/64 --prime 2 --n-max 200 --mode direct",
     "kval --curve 0,0,0,5,-125 --point 54,-397 --prime 5 --n-max 200 --mode direct",
+    # both routes at the guardrail on III-p5-nonsingular-point, where the
+    # oracle keeps no exact W_n
+    "kval --curve 0,0,0,5,-125 --point 54,-397 --prime 5 --n-max 200 --mode both",
+    # 37a translated by r = 1 - 2^29: v(phi_2) = 29 is past the residues
+    # modulo 2^29, so the tie is settled by the exact difference
+    "kval --curve 0,-1610612733,1,864691125233909762,-154742504045981406980997120"
+    " --point 536870911,0 --prime 2 --n-max 40 --mode direct",
     # 37a translated by r = 1: x([2]P) = 0, so phi_2(P) = 0
     "kval --curve 0,3,1,2,0 --point=-1,0 --prime 2 --n-max 40 --mode both",
     # 37a scaled by u = 3: integral at 2 only

@@ -166,7 +166,7 @@ def cmd_kval(args) -> int:
     if mode in ("direct", "both"):
         pt = prof.point if prof else assert_infinite_order(
             tate.minimal_model, map_point(tate.to_minimal, point))
-        table = division_table(tate.minimal_model, pt, args.prime, n_max)
+        table = division_table(tate.minimal_model, pt, args.prime, n_max, keep=0)
         direct = {n: (k, vphi, vpsi) for n, k, vphi, vpsi in k_direct_range(table, n_max)}
     code = EXIT_OK
     for n in range(1, n_max + 1):

@@ -9,8 +9,10 @@ arbitrary-precision values survive round-trips.
 (closed form vs. division-polynomial oracle) plus the full invariant suite
 of the profile/engine layers, and aggregates which table rows the corpus
 covers.  Each entry's model is integralized at p, as the command line does,
-and one division table, built to index max(n_max, 24) on the minimal model,
-feeds both the oracle and the division-polynomial identities.
+and one division table, built to index max(n_max, 24) on the minimal model
+and keeping the exact W_n to index 24, feeds both the oracle and the
+division-polynomial identities.  An entry that raises is reported with
+the stage it was in.
 """
 
 from __future__ import annotations
@@ -171,6 +173,9 @@ class EntryReport:
     expect_ok: bool = True
     error: str | None = None
     error_code: int = EXIT_OK  # the exit code of the exception in ``error``
+    #: the verify_entry stage that raised it: tate, profile, oracle,
+    #: formula, structural, predictions or expect
+    error_stage: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -200,6 +205,7 @@ class EntryReport:
         }
         if self.error is not None:
             out["error"] = self.error
+            out["errorStage"] = self.error_stage
         return out
 
 
@@ -214,7 +220,7 @@ def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
     """Per-entry identity suite; failures are appended to the report.
 
     ``table`` is the division table at the profile's point on the minimal
-    model, built to index 24 or more; ``scan`` is the unit-exponent scan of
+    model, built to index 24 or more and keeping W_n to 24; ``scan`` is the unit-exponent scan of
     a non-singular point (every point on good reduction is one), else None.
     """
     model, p = tate.minimal_model, table.p
@@ -340,9 +346,11 @@ def _check_expect(report: EntryReport, entry: CorpusEntry, tate, prof, row) -> N
 
 def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
     report = EntryReport(label=entry.label)
+    stage = "tate"
     try:
         model, pt = integralize_point_at(entry.model(), entry.curve_point(), entry.prime)
         tate = run_tate(model, entry.prime)
+        stage = "profile"
         prof = compute_profile(tate, pt)
         row = classify_row(prof)
         report.row = row
@@ -355,9 +363,11 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
         report.v_delta = tate.v_delta
         report.n_checked = n_max
 
+        stage = "oracle"
         table = division_table(tate.minimal_model, prof.point, entry.prime,
-                               max(n_max, _STRUCTURAL_INDEX))
+                               max(n_max, _STRUCTURAL_INDEX), keep=_STRUCTURAL_INDEX)
         rows = k_direct_range(table, n_max)
+        stage = "formula"
         for (n, k, _vphi, _vpsi) in rows:
             kf = k_formula(prof, n)
             if kf != k:
@@ -365,14 +375,18 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
                     {"n": n, "kFormula": kf, "kDirect": val_to_json(k)})
         if prof.singular:
             table_decomposition(prof)  # raises InternalError on inconsistency
+        stage = "structural"
         scan = (None if prof.singular
                 else unit_exponent_scan(tate.minimal_model, entry.prime))
         _structural_checks(report, tate, prof, table, scan)
+        stage = "predictions"
         _prediction_checks(report, tate, prof, rows, scan)
+        stage = "expect"
         _check_expect(report, entry, tate, prof, row)
     except Exception as exc:  # reported with its exit code, as cli.main would
         report.error = f"{type(exc).__name__}: {exc}"
         report.error_code = exit_code(exc)
+        report.error_stage = stage
     return report
 
 

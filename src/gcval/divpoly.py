@@ -8,19 +8,24 @@ dividing U: a product adds exponents, a difference of two terms has a
 known exponent unless the two tie, and only then is p split off.
 Phi_n = c^(2n^2) phi_n = X W_n^2 - W_(n-1) W_(n+1).
 
-``division_table`` builds that table once, as a ``DivisionTable`` value
-with three readers: ``valuations`` reads v_p(phi_n) and v_p(psi_n) off
-the exponents (the oracle) and forms Phi_n only on a tie, ``scaled_psi``
-joins the integer W_n and ``scaled_phi`` the integer Phi_n (the
-structural checks).  ``psi_sequence`` rebuilds the exact values
-psi_n = W_n / c^(n^2-1) and phi_n = Phi_n / c^(2n^2) for ``gcval psi``.
+``division_table`` builds that table once, as a ``DivisionTable`` value,
+and reads each row (n, v_p(phi_n), v_p(psi_n)) as soon as W_(n+1) exists.
+v_p(phi_n) is the smaller exponent of the two terms of Phi_n, unless they
+tie; then the units are reduced modulo a power of p below 2^30, and only a
+zero residue forms Phi_n.  The table has three readers: ``valuations``
+returns the rows (the oracle), ``scaled_psi`` joins the integer W_n and
+``scaled_phi`` the integer Phi_n (the structural checks).  A caller that
+reads no exact W_n past some index says so with ``keep``, and the build
+drops each W_n above it once nothing reads it again.  ``psi_sequence``
+rebuilds the exact values psi_n = W_n / c^(n^2-1) and phi_n = Phi_n /
+c^(2n^2) for ``gcval psi``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .curve_core import Point, WeierstrassModel, require_on_curve
 from .errors import InputError, InternalError, TwoTorsionError
@@ -103,45 +108,71 @@ def _integral_scale(model: WeierstrassModel, point: Point) -> int:
     return u * isqrt((u * u * point.x).denominator)
 
 
+def _tie_modulus(p: int) -> int:
+    """m = p^K, the largest power of p below 2^30 (one CPython digit, so a
+    residue costs one pass over the operand), or p itself when p >= 2^15."""
+    m = p
+    while m * p < 1 << 30:
+        m *= p
+    return m
+
+
+def _tie_exponent(k: Valuation, a: tuple, b: tuple, p: int, m: int) -> Valuation:
+    """v_p(p^k (A - B)), A and B the products of the units in a and b.
+
+    A - B is congruent to its residue d modulo m = p^K; when d is not zero
+    v_p(A - B) = v_p(d) < K, and only when it is are A and B formed.
+    """
+    d = (prod(u % m for u in a) - prod(u % m for u in b)) % m
+    if d:
+        return k + p_split(d, p)[0]
+    return _sub((k, prod(a)), (k, prod(b)), p)[0]
+
+
 @dataclass(frozen=True)
 class DivisionTable:
-    """W_-1..W_max(4, n_max+1) at a point, each split at p as (k, U)."""
+    """W_-1..W_top at a point, each split at p as (k, U), with
+    top = min(keep, max(4, n_max+1)), and the rows (n, v_p(phi_n), v_p(psi_n))
+    for n = 1..n_max, read off the whole recurrence."""
 
     p: int
     c: int  # W_n = c^(n^2-1) psi_n(P)
     x: tuple  # X = c^2 x(P)
     w: tuple  # W_n at index n + 1
+    rows: tuple  # (n, v_p(phi_n), v_p(psi_n)) at index n - 1
 
     def scaled_psi(self, n: int) -> int:
-        """The integer W_n."""
+        """The integer W_n, for -1 <= n <= keep."""
+        if not -1 <= n < len(self.w) - 1:
+            raise InternalError(f"W_{n} is not in the table, which keeps "
+                                f"W_-1..W_{len(self.w) - 2}")
         return _join(self.w[n + 1], self.p)
 
     def scaled_phi(self, n: int) -> int:
-        """The integer Phi_n = c^(2n^2) phi_n(P) = X W_n^2 - W_(n-1) W_(n+1)."""
+        """The integer Phi_n = c^(2n^2) phi_n(P) = X W_n^2 - W_(n-1) W_(n+1),
+        for 1 <= n < keep."""
         w = self.scaled_psi
         return _join(self.x, self.p) * w(n) ** 2 - w(n - 1) * w(n + 1)
 
     def valuations(self, n_max: int) -> list[tuple[int, Valuation, Valuation]]:
-        """[(n, v_p(phi_n), v_p(psi_n))] for n = 1..n_max, without building
-        a value."""
-        p, w = self.p, self.w
-        v_scale = p_split(self.c, p)[0]
-        kx, ux = self.x
-        out = []
-        for n in range(1, n_max + 1):
-            (kl, ul), (kn, un), (kr, ur) = w[n], w[n + 1], w[n + 2]
-            ka, kb = kx + 2 * kn, kl + kr  # exponents of X W_n^2 and W_(n-1) W_(n+1)
-            k_phi = min(ka, kb) if ka != kb else _sub((ka, ux * un * un), (kb, ul * ur), p)[0]
-            out.append((n, k_phi - 2 * n * n * v_scale, kn - (n * n - 1) * v_scale))
-        return out
+        """[(n, v_p(phi_n), v_p(psi_n))] for n = 1..n_max, read during the
+        build."""
+        if n_max > len(self.rows):
+            raise InternalError(f"rows to n = {n_max} asked of a table built "
+                                f"to n = {len(self.rows)}")
+        return list(self.rows[:n_max])
 
 
 def division_table(model: WeierstrassModel, point: Point, p: int,
-                   n_max: int) -> DivisionTable:
-    """The table W_-1..W_max(4, n_max+1) at the point, split at p.
+                   n_max: int, keep: int | None = None) -> DivisionTable:
+    """The table W_-1..W_max(4, n_max+1) at the point, split at p, with its
+    rows for n = 1..n_max.
 
-    Requires n_max >= 1, a prime p and an affine point on the curve that is
-    not 2-torsion (the even step divides exactly by W_2).
+    ``keep`` is the largest n whose exact W_n the caller reads; the default
+    keeps them all.  Past it, W_j is dropped as soon as neither a row nor
+    the recurrence reads it again.  Requires n_max >= 1, a prime p and an
+    affine point on the curve that is not 2-torsion (the even step divides
+    exactly by W_2).
     """
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
@@ -171,6 +202,22 @@ def division_table(model: WeierstrassModel, point: Point, p: int,
     big_x, *seeds = (_ZERO if q == 0 else p_split(q.numerator, p) for q in scaled)
     w = [(0, -1), _ZERO, (0, 1), *seeds]  # W_n at index n + 1
     k2, u2 = w[3]
+    kx, ux = big_x
+    v_scale, m_tie = p_split(c, p)[0], _tie_modulus(p)
+    rows = []
+
+    def read_row(n):  # W_(n-1), W_n and W_(n+1) are in w
+        (kl, ul), (kn, un), (kr, ur) = w[n], w[n + 1], w[n + 2]
+        ka, kb = kx + 2 * kn, kl + kr  # exponents of X W_n^2 and W_(n-1) W_(n+1)
+        k_phi = (min(ka, kb) if ka != kb
+                 else _tie_exponent(ka, (ux, un, un), (ul, ur), p, m_tie))
+        rows.append((n, k_phi - 2 * n * n * v_scale, kn - (n * n - 1) * v_scale))
+
+    # W_j above this goes once row j + 1, its last reader, is read; the
+    # recurrence reads no index above (n_max + 1) // 2 + 2
+    drop_above = INFINITY if keep is None else max(keep, (n_max + 1) // 2 + 2)
+    for n in range(1, min(3, n_max) + 1):  # the seeds reach W_4
+        read_row(n)
     for n in range(5, n_max + 2):
         m = n // 2
         (ka, ua), (kb, ub), (kc, uc), (kd, ud) = (
@@ -185,7 +232,12 @@ def division_table(model: WeierstrassModel, point: Point, p: int,
             if r:
                 raise InternalError(f"W_2 does not divide the even step at n = {n}")
             w.append((k - k2, q))
-    return DivisionTable(p, c, big_x, tuple(w))
+        read_row(n - 1)
+        if n - 2 > drop_above:
+            w[n - 1] = None
+    if keep is not None:
+        del w[keep + 2:]
+    return DivisionTable(p, c, big_x, tuple(w), tuple(rows))
 
 
 def psi_sequence(model: WeierstrassModel, point: Point, p: int,

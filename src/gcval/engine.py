@@ -4,7 +4,7 @@ Two independent routes are provided and must agree:
 
 * ``k_direct_range`` -- the ground-truth oracle: read v_p(phi_n) and
   v_p(psi_n) off a division table at the point, split at p
-  (``divpoly.division_table``, whose valuations build no value), and take
+  (``divpoly.division_table``, which reads them during its build), and take
   the min of v_p(phi_n) and v_p(psi_n^2), for n = 1..n_max;
 * ``k_formula`` -- the closed form, dispatched on the reduction profile
   (non-singular branch, multiplicative branch via r_n, additive branches

@@ -295,6 +295,7 @@ def test_verify_exit_code_is_the_largest_entry_code(tmp_path, capsys, monkeypatc
     code, lines = run_cli(capsys, "verify", "--corpus", str(path), "--n-max", "3")
     assert code == lines[0]["summary"]["exitCode"] == 3
     assert lines[0]["entries"][0]["error"].startswith("TorsionPointError: ")
+    assert lines[0]["entries"][0]["errorStage"] == "profile"
     # with a wrong pin (exit 1 on its own) beside it, the torsion entry wins
     first = load_corpus(CORPUS_PATH)[0]
     wrong = json.loads(entry_to_json(first))
@@ -317,6 +318,9 @@ def test_verify_exit_code_is_the_largest_entry_code(tmp_path, capsys, monkeypatc
         assert len(report["entries"]) == len(load_corpus(CORPUS_PATH))
         errors = [e["error"] for e in report["entries"] if "error" in e]
         assert errors and set(errors) == {f"{type(exc).__name__}: {exc}"}
+        # the stage sits beside the error, and only there
+        assert [e.get("errorStage") for e in report["entries"]] == [
+            "formula" if "error" in e else None for e in report["entries"]]
 
 
 def test_exponents_are_refused(capsys):

@@ -130,13 +130,13 @@ def test_mp3_check_reads_phi3_on_the_normalized_model():
 
 
 def spy(monkeypatch, name):
-    """Record the arguments of every call to divpoly.<name>, through any
-    gcval module that binds it."""
+    """Record the positional and keyword arguments of every call to
+    divpoly.<name>, through any gcval module that binds it."""
     original, calls = getattr(divpoly, name), []
 
-    def wrapper(*args):
-        calls.append(args)
-        return original(*args)
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
 
     for module in [m for key, m in sys.modules.items() if key.startswith("gcval")]:
         for attr, value in list(vars(module).items()):
@@ -148,13 +148,15 @@ def spy(monkeypatch, name):
 @pytest.mark.parametrize("n_max", [3, 30])
 def test_verify_entry_builds_one_division_table(corpus_entries, monkeypatch, n_max):
     # the oracle and every division-polynomial check read the same table,
-    # built to max(n_max, 24); no exact psi_n is rebuilt on the way
+    # built to max(n_max, 24) and keeping the exact W_n to 24; no exact psi_n
+    # is rebuilt on the way
     tables = spy(monkeypatch, "division_table")
     sequences = spy(monkeypatch, "psi_sequence")
     for entry in corpus_entries:
         tables.clear()
         assert verify_entry(entry, n_max=n_max).ok, entry.label
-        assert [args[3] for args in tables] == [max(n_max, 24)], entry.label
+        assert [(args[3], kwargs) for args, kwargs in tables] == [
+            (max(n_max, 24), {"keep": 24})], entry.label
     assert sequences == []
 
 

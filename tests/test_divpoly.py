@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -12,8 +14,12 @@ from gcval.curve_core import (
     map_point,
     mul,
 )
+from gcval import divpoly
 from gcval.divpoly import (
     _integral_scale,
+    _sub,
+    _tie_exponent,
+    _tie_modulus,
     division_table,
     phi2_x,
     psi2_squared_x,
@@ -22,7 +28,13 @@ from gcval.divpoly import (
     psi_sequence,
 )
 from gcval.engine import k_direct_range
-from gcval.errors import InputError, NonPrimeError, SingularCurveError, TwoTorsionError
+from gcval.errors import (
+    InputError,
+    InternalError,
+    NonPrimeError,
+    SingularCurveError,
+    TwoTorsionError,
+)
 from gcval.exact_numbers import INFINITY, val
 
 E_MORDELL = WeierstrassModel(0, 0, 0, 0, 1)
@@ -254,3 +266,105 @@ def test_k_direct_rows_match_fraction_table_on_corpus(corpus_profiles):
         # a table built past n_max gives the same first n_max rows
         deeper = division_table(tate.minimal_model, prof.point, entry.prime, 64)
         assert k_direct_range(deeper, 60) == want, entry.label
+
+
+# --- ties settled modulo p^K ------------------------------------------------
+
+TIE_PRIMES = (2, 3, 5, 9973, P_BIG)
+
+
+@pytest.mark.parametrize("p", (*TIE_PRIMES, 32771))
+def test_tie_modulus_is_the_largest_power_below_2_30(p):
+    m = _tie_modulus(p)
+    k = val(m, p)
+    assert m == p ** k and k >= 1
+    assert m * p >= 1 << 30
+    assert m < 1 << 30 or m == p
+
+
+@pytest.mark.parametrize("p", TIE_PRIMES)
+def test_tie_exponent_on_built_units(p, monkeypatch):
+    # the units X, W_9, W_10 and W_11 at [2](0, 0) = (1, 0) on 37a
+    table = division_table(E37, Point(1, 0), p, 12)
+    (_, ux), (_, ul), (_, un), (_, ur) = table.x, *table.w[10:13]
+    k = val(_tie_modulus(p), p)
+    calls = []  # the exact differences the tie rule falls back to
+    monkeypatch.setattr(divpoly, "_sub", lambda a, b, p: calls.append(a) or _sub(a, b, p))
+    # the residues differ: no product is formed
+    assert _tie_exponent(4, (ux, un, un), (ul, ur), p, _tie_modulus(p)) == 4 + val(
+        ux * un * un - ul * ur, p)
+    assert calls == []
+    # a difference p^(K+3) u agrees modulo p^K: the exact fallback reads it
+    unit = 1 + p
+    near = ux * un * un - p ** (k + 3) * unit
+    assert _tie_exponent(4, (ux, un, un), (near,), p, _tie_modulus(p)) == 4 + k + 3
+    assert len(calls) == 1
+    # a difference of exactly 0
+    assert _tie_exponent(4, (ux, un, un), (ux * un, un), p, _tie_modulus(p)) == INFINITY
+    assert len(calls) == 2
+
+
+_UNITS = st.integers(-10 ** 40, 10 ** 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(TIE_PRIMES), data=st.data())
+def test_tie_exponent_matches_the_exact_difference(p, data):
+    m = _tie_modulus(p)
+    a = tuple(data.draw(st.lists(_UNITS.filter(lambda u: u % p), min_size=1, max_size=3)))
+    # B = A - p^j t, from a residue difference to far past p^K
+    j = data.draw(st.integers(0, 3 * val(m, p) + 6))
+    t = data.draw(st.integers(-10 ** 20, 10 ** 20))
+    b = prod(a) - p ** j * t
+    if b % p == 0:
+        reject()
+    a, b = (a, (b,)) if data.draw(st.booleans()) else ((b,), a)
+    k = data.draw(st.integers(0, 60))
+    assert _tie_exponent(k, a, b, p, m) == _sub((k, prod(a)), (k, prod(b)), p)[0]
+
+
+def test_rows_without_exact_values_match_val_on_corpus(corpus_profiles):
+    # the rows of a table that keeps no W_n past W_0, against val of the
+    # exact Phi_n and W_n of a full table, less the scaling by c
+    n_max = 120
+    for entry, tate, prof, _ in corpus_profiles:
+        p = entry.prime
+        rows = division_table(tate.minimal_model, prof.point, p, n_max, keep=0).valuations(n_max)
+        full = division_table(tate.minimal_model, prof.point, p, n_max)
+        v_c = val(full.c, p)
+        assert rows == [(n, val(full.scaled_phi(n), p) - 2 * n * n * v_c,
+                         val(full.scaled_psi(n), p) - (n * n - 1) * v_c)
+                        for n in range(1, n_max + 1)], entry.label
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_table_that_keeps_nothing_drops_its_exact_values(corpus_profiles):
+    entry, tate, prof, _ = next(c for c in corpus_profiles
+                                if c[0].label == "III-p5-nonsingular-point")
+    args = (tate.minimal_model, prof.point, entry.prime, 200)
+    full = _traced_peak(lambda: division_table(*args))
+    lean = _traced_peak(lambda: division_table(*args, keep=0))
+    assert lean <= 0.4 * full, (lean, full)
+
+
+def test_readers_refuse_what_the_table_does_not_hold():
+    table = division_table(E37, P37, 2, 10, keep=3)
+    assert table.scaled_psi(3) == division_table(E37, P37, 2, 10).scaled_psi(3)
+    for n in (4, 11, 12):
+        with pytest.raises(InternalError):
+            table.scaled_psi(n)
+    with pytest.raises(InternalError):
+        table.scaled_phi(3)  # reads W_4
+    with pytest.raises(InternalError):
+        table.scaled_psi(-2)
+    assert len(table.valuations(10)) == 10
+    with pytest.raises(InternalError):
+        table.valuations(11)
