@@ -17,9 +17,10 @@ without --point, ``psi``, ``formal-group`` at its default order and at
 --m 3 --order 12, and ``seq``; ``profile`` and ``kval`` of torsion
 points, one of them a 2-torsion point in E_1, so n_P = 1 < 2; ``kval
 --mode direct`` at the --n-max 200 guardrail on four corpus points and
-``--mode both`` on one of them; ``kval`` where phi_2(P) = 0, where
-v(phi_2) = 29 takes a tie past its residues modulo 2^29, and on a model
-integral only at p; ``psi`` at
+``--mode both`` on one of them; ``kval`` where phi_2(P) = 0 and where
+v(phi_2) = 29 takes a tie past its residues modulo 2^29; ``profile`` and
+``kval`` on a model integral only at p (u = 3, so the group law runs on
+a scaled model); ``psi`` at
 --n-max 200, at a torsion point, on a model integral only at p and at a
 point with denominators; ``verify`` on a one-entry corpus whose model is
 integral only at p (37a scaled by u = 2, at p = 2) and on one whose point
@@ -83,6 +84,7 @@ OTHER_COMMANDS = (
     # 37a translated by r = 1: x([2]P) = 0, so phi_2(P) = 0
     "kval --curve 0,3,1,2,0 --point=-1,0 --prime 2 --n-max 40 --mode both",
     # 37a scaled by u = 3: integral at 2 only
+    "profile --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 2",
     "kval --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 2 --n-max 40 --mode both",
     # psi_n / phi_n rebuilt from the table split at p: at the guardrail, at
     # a point of order 6 (psi_6 = 0), on 37a scaled by u = 3 at p = 2 and 3,

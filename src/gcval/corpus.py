@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .curve_core import Point, WeierstrassModel, integralize_point_at, multiples, on_curve
+from .curve_core import Point, WeierstrassModel, integralize_at, map_point, multiples, on_curve
 from .divpoly import division_table, psi2_squared_x
 from .engine import (
     REQUIRED_ROWS,
@@ -43,6 +43,10 @@ from .tate import KodairaType, run_tate
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """One corpus line.  The constructor parses the model and the point
+    once and checks that the point is on the curve; ``model()`` and
+    ``curve_point()`` return what it parsed."""
+
     label: str
     a: tuple
     point: tuple
@@ -50,12 +54,22 @@ class CorpusEntry:
     expect: dict | None = None
     flags: tuple = ()
     line: int = 0
+    _model: WeierstrassModel = field(init=False, compare=False, repr=False)
+    _point: Point = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        model = WeierstrassModel(*(parse_rational(s) for s in self.a))
+        pt = Point(parse_rational(self.point[0]), parse_rational(self.point[1]))
+        if not on_curve(model, pt):
+            raise InputError(f"point {pt} is not on curve {model}")
+        object.__setattr__(self, "_model", model)
+        object.__setattr__(self, "_point", pt)
 
     def model(self) -> WeierstrassModel:
-        return WeierstrassModel(*(parse_rational(s) for s in self.a))
+        return self._model
 
     def curve_point(self) -> Point:
-        return Point(parse_rational(self.point[0]), parse_rational(self.point[1]))
+        return self._point
 
 
 class CorpusParseError(InputError):
@@ -112,17 +126,12 @@ def _parse_entry(obj, line: int) -> CorpusEntry:
     flags = obj.get("flags", [])
     if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
         raise CorpusParseError(line, f"'flags' must be a list of strings, got {flags!r}")
-    flags = tuple(flags)
-    entry = CorpusEntry(label, tuple(str(s) for s in a),
-                        (str(point[0]), str(point[1])), prime, expect, flags, line)
     try:
-        model = entry.model()
-        pt = entry.curve_point()
+        return CorpusEntry(label, tuple(str(s) for s in a),
+                           (str(point[0]), str(point[1])), prime, expect,
+                           tuple(flags), line)
     except ToolkitError as exc:
         raise CorpusParseError(line, str(exc)) from exc
-    if not on_curve(model, pt):
-        raise CorpusParseError(line, f"point {pt} is not on curve {model}")
-    return entry
 
 
 def load_corpus(path) -> list[CorpusEntry]:
@@ -231,8 +240,9 @@ def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
 
     # the table's integers W_n = c^(n^2-1) psi_n and Phi_n = c^(2n^2) phi_n
     w = [table.scaled_psi(n) for n in range(_STRUCTURAL_INDEX + 1)]
-    # x([n]P) psi_n^2 = phi_n, as x([n]P) c^2 W_n^2 = Phi_n, for n <= 20, on
-    # the profile's walk and on its continuation past [max(16, n_P)]P
+    # x([n]P) psi_n^2 = phi_n, as num(x_n) (c W_n)^2 = Phi_n den(x_n) on the
+    # integers, x_n = x([n]P), for n <= 20, on the profile's walk and on its
+    # continuation past [max(16, n_P)]P
     points = prof.walk[:_X_MULTIPLE_INDEX]
     points += tuple(islice(multiples(model, pt, after=points[-1]),
                            _X_MULTIPLE_INDEX - len(points)))
@@ -240,7 +250,7 @@ def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
         if q.is_infinity:
             fail("multiple-infinite", f"[{n}]P = O")
             break
-        if q.x * (table.c * w[n]) ** 2 != table.scaled_phi(n):
+        if q.x.numerator * (table.c * w[n]) ** 2 != table.scaled_phi(n) * q.x.denominator:
             fail("x-multiple-identity", f"n={n}")
     # elliptic divisibility relation at the point, on the integers W_n:
     # both sides have weight 2m^2 + 2n^2 - 2 in c
@@ -348,7 +358,9 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
     report = EntryReport(label=entry.label)
     stage = "tate"
     try:
-        model, pt = integralize_point_at(entry.model(), entry.curve_point(), entry.prime)
+        # the entry's point was checked on its model when it was parsed
+        model, change = integralize_at(entry.model(), entry.prime)
+        pt = map_point(change, entry.curve_point())
         tate = run_tate(model, entry.prime)
         stage = "profile"
         prof = compute_profile(tate, pt)

@@ -3,12 +3,24 @@
 Everything is done on the full five-coefficient form y^2 + a1*x*y + a3*y =
 x^3 + a2*x^2 + a4*x + a6, never on a completed square, so that p = 2 and
 p = 3 ride the same code path as every other prime.
+
+The group law runs on integers.  Scaled by u, the lcm of the a-invariants'
+denominators, the model becomes integral, and every rational point on it is
+(X/e^2, Y/e^3) with gcd(X, e) = 1.  One chord-or-tangent step forms x3's
+numerator over M^2, M the slope's denominator, reduces it by one gcd, and
+reads y3 off the line at the reduced size.  ``add``, ``mul`` and
+``multiples`` all take that step, and each builds a ``Point`` only for what
+it returns or yields.  A point is checked
+on the curve once, where it enters a public entry point (``add``, ``mul``,
+``neg``, the start of ``multiples``); the points the law derives are not
+checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import InputError, SingularCurveError, TorsionPointError
 from .exact_numbers import Rational, check_prime, format_rational, parse_rational, val
@@ -191,40 +203,113 @@ def require_on_curve(model: WeierstrassModel, point: Point) -> Point:
 
 def neg(model: WeierstrassModel, point: Point) -> Point:
     require_on_curve(model, point)
+    return _neg(model, point)
+
+
+def _neg(model: WeierstrassModel, point: Point) -> Point:
+    """-(x, y) = (x, -y - a1 x - a3)."""
     if point.is_infinity:
         return INFINITY_POINT
-    a1, a3 = model.a1, model.a3
-    return Point(point.x, -point.y - a1 * point.x - a3)
+    return Point(point.x, -point.y - model.a1 * point.x - model.a3)
+
+
+def integral_scale(model: WeierstrassModel) -> int:
+    """u = lcm of the a-invariants' denominators: scaling by it makes every
+    A_i = u^i a_i an integer, and keeps the model at any prime not dividing u."""
+    return lcm(*(a.denominator for a in model.coefficients()))
+
+
+class _IntegralLaw:
+    """The group law on the integral model A_i = u^i a_i, on integers.
+
+    There every rational point is (X/e^2, Y/e^3) with e > 0 and
+    gcd(X, e) = 1; it is held as the triple (X, Y, e), and O as None.  The
+    model's point (x, y) is (X/(u e)^2, Y/(u e)^3).
+    """
+
+    __slots__ = ("u", "a1", "a2", "a3", "a4")
+
+    def __init__(self, model: WeierstrassModel):
+        u = self.u = integral_scale(model)
+        self.a1, self.a2, self.a3, self.a4 = (
+            (a * u ** i).numerator for a, i in zip(model.coefficients(), (1, 2, 3, 4)))
+
+    def triple(self, point: Point):
+        """(X, Y, e) of a point on the curve."""
+        if point.is_infinity:
+            return None
+        x = point.x * (self.u * self.u)
+        e = isqrt(x.denominator)
+        return x.numerator, (point.y * (self.u * e) ** 3).numerator, e
+
+    def point(self, q) -> Point:
+        if q is None:
+            return INFINITY_POINT
+        x, y, e = q
+        d = self.u * e
+        return Point(Fraction(x, d * d), Fraction(y, d * d * d))
+
+    def add(self, q1, q2):
+        """q1 + q2.  The chord or tangent has slope N/M, and x3 = X3'/M^2
+        with X3' an integer; X3' = X3 h^2 and M = e3 h with gcd(X3, e3) = 1,
+        so h^2 = gcd(X3', M^2).  y3 then comes from the line, at the
+        reduced size."""
+        if q1 is None:
+            return q2
+        if q2 is None:
+            return q1
+        a1, a2, a3 = self.a1, self.a2, self.a3
+        x1, y1, e1 = q1
+        x2, y2, e2 = q2
+        tangent = x1 == x2 and e1 == e2
+        if tangent:
+            # d = e^3 psi_2; a different y is -q1, and d = 0 makes q1 2-torsion
+            d = 2 * y1 + (a1 * x1 + a3 * e1 * e1) * e1
+            if y1 != y2 or d == 0:
+                return None
+            ee = e1 * e1
+            n = 3 * x1 * x1 + (2 * a2 * x1 + self.a4 * ee) * ee - a1 * y1 * e1
+            m = e1 * d
+            s = 2 * x1  # (x1 + x2) M^2 = s d^2
+        else:
+            ee1, ee2 = e1 * e1, e2 * e2
+            d = x2 * ee1 - x1 * ee2
+            n = y2 * ee1 * e1 - y1 * ee2 * e2
+            m = e1 * e2 * d
+            s = x1 * ee2 + x2 * ee1
+        mm = m * m
+        x3 = n * n + a1 * n * m - a2 * mm - s * d * d
+        hh = gcd(x3, mm)
+        h = isqrt(hh) if m > 0 else -isqrt(hh)
+        x3, e3 = x3 // hh, m // h
+        if tangent:
+            # y3 = lam (x1 - x3) - y1 - a1 x3 - a3, where e1 divides e3
+            f = e3 // e1
+            y3 = (n * (x1 * f * f - x3) // h - y1 * f ** 3
+                  - (a1 * x3 + a3 * e3 * e3) * e3)
+        else:
+            # y3 = -(lam + a1) x3 - nu - a3, with intercept nu = V/M
+            v = y1 * x2 * e2 - y2 * x1 * e1
+            y3 = -((n + a1 * m) * x3 + v * e3 * e3) // h - a3 * e3 ** 3
+        return x3, y3, e3
+
+    def mul(self, n: int, q):
+        """[n]q for n >= 0, by double-and-add."""
+        result = None
+        while n:
+            if n & 1:
+                result = self.add(result, q)
+            n >>= 1
+            if n:
+                q = self.add(q, q)
+        return result
 
 
 def add(model: WeierstrassModel, p1: Point, p2: Point) -> Point:
     require_on_curve(model, p1)
     require_on_curve(model, p2)
-    return _add(model, p1, p2)
-
-
-def _add(model: WeierstrassModel, p1: Point, p2: Point) -> Point:
-    """P1 + P2 for points the caller has already checked to be on the curve."""
-    if p1.is_infinity:
-        return p2
-    if p2.is_infinity:
-        return p1
-    a1, a2, a3, a4, a6 = model.coefficients()
-    x1, y1 = p1.x, p1.y
-    x2, y2 = p2.x, p2.y
-    if x1 == x2:
-        if y2 == -y1 - a1 * x1 - a3:
-            return INFINITY_POINT
-        # p1 == p2 and not 2-torsion: tangent line
-        den = 2 * y1 + a1 * x1 + a3
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
-        nu = (-(x1 ** 3) + a4 * x1 + 2 * a6 - a3 * y1) / den
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return Point(x3, y3)
+    law = _IntegralLaw(model)
+    return law.point(law.add(law.triple(p1), law.triple(p2)))
 
 
 def mul(model: WeierstrassModel, n: int, point: Point) -> Point:
@@ -232,17 +317,9 @@ def mul(model: WeierstrassModel, n: int, point: Point) -> Point:
     require_on_curve(model, point)
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"multiplier must be an integer, got {n!r}")
-    if n < 0:
-        return neg(model, mul(model, -n, point))
-    result = INFINITY_POINT
-    acc = point
-    while n:
-        if n & 1:
-            result = _add(model, result, acc)
-        n >>= 1
-        if n:
-            acc = _add(model, acc, acc)
-    return result
+    law = _IntegralLaw(model)
+    q = law.point(law.mul(abs(n), law.triple(point)))
+    return _neg(model, q) if n < 0 else q
 
 
 #: Over Q the torsion order is at most 12 (Mazur); 16 adds margin.  This
@@ -253,15 +330,16 @@ TORSION_GUARD_BOUND = 16
 def multiples(model: WeierstrassModel, point: Point, after: Point | None = None):
     """Yield [1]P, [2]P, [3]P, ... without end; P is checked on the curve
     once, when the first multiple is asked for.  Given ``after`` = [k]P from
-    an earlier walk over the same P, yield [k+1]P, [k+2]P, ... unchecked."""
+    an earlier walk over the same P, yield [k+1]P, [k+2]P, ... unchecked.
+    The walk steps on integer triples and builds one Point per yield."""
+    law = _IntegralLaw(model)
     if after is None:
         require_on_curve(model, point)
-        acc = point
-    else:
-        acc = _add(model, after, point)
+    q = law.triple(point)
+    acc = q if after is None else law.add(law.triple(after), q)
     while True:
-        yield acc
-        acc = _add(model, acc, point)
+        yield law.point(acc)
+        acc = law.add(acc, q)
 
 
 def assert_infinite_order(model: WeierstrassModel, point: Point,

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 
-from .curve_core import Point, WeierstrassModel, require_on_curve
+from .curve_core import Point, WeierstrassModel, integral_scale, require_on_curve
 from .errors import InputError, InternalError, TwoTorsionError
 from .exact_numbers import INFINITY, Rational, Valuation, check_prime, p_split
 
@@ -104,7 +104,7 @@ def _integral_scale(model: WeierstrassModel, point: Point) -> int:
     multiplies psi_n by u^(n^2-1) and x by u^2, and on the integral model
     u^2 x(P) = X/e^2; then c = u e.  On a p-integral model v_p(u) = 0.
     """
-    u = lcm(*(a.denominator for a in model.coefficients()))
+    u = integral_scale(model)
     return u * isqrt((u * u * point.x).denominator)
 
 

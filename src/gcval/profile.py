@@ -10,6 +10,13 @@ x([r]P) a p-adic unit, on which engine.predict_phi_val bases its v(phi_n)
 prediction, and the walked points themselves: [n_P]P, from which the
 staircase parameters read s_P, and the multiples the structural checks
 compare with the division polynomials.
+
+The walk's points come from curve_core's integer group law and are on the
+curve by construction, so ``compute_profile`` checks the point once, where
+the walk starts, and not the walked points or the normalized image.  It
+reads v_p(x([n]P)) off each point's numerator and denominator and tests
+singularity by the partials modulo p.  ``point_is_singular``, for outside
+callers, checks its point first.
 """
 
 from __future__ import annotations
@@ -62,26 +69,36 @@ def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     to the identity and is never singular.
     """
     require_on_curve(model, point)
-    if point.is_infinity:
-        return False
-    if val(point.x, p) < 0:
+    return not point.is_infinity and _reduces_singular(model, point, p)
+
+
+def _residue(q, p: int) -> int:
+    """A p-integral rational modulo p."""
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def _reduces_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
+    """point_is_singular for an affine point known to be on the p-integral
+    model: both partials vanish modulo p."""
+    if point.x.denominator % p == 0:
         return False
     # integral x forces integral y on an integral model
-    if val(point.y, p) < 0:
+    if point.y.denominator % p == 0:
         raise InternalError("integral x with non-integral y on an integral model")
-    a1, a2, a3, a4, _ = model.coefficients()
-    fx = a1 * point.y - 3 * point.x * point.x - 2 * a2 * point.x - a4
-    fy = 2 * point.y + a1 * point.x + a3
-    return val(fx, p) >= 1 and val(fy, p) >= 1
+    a1, a2, a3, a4 = (_residue(a, p) for a in model.coefficients()[:4])
+    x, y = _residue(point.x, p), _residue(point.y, p)
+    fx = a1 * y - 3 * x * x - 2 * a2 * x - a4
+    fy = 2 * y + a1 * x + a3
+    return fx % p == 0 and fy % p == 0
 
 
 def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     """Profile of an infinite-order point given on the *input* model.
 
-    Raises TorsionPointError if [n]P = O for some n <= max(16, n_P).
+    Raises TorsionPointError if [n]P = O for some n <= max(16, n_P), and
+    InputError, where the walk starts, if the point is not on the curve.
     """
     p = tate.p
-    require_on_curve(tate.input_model, point)
     minimal = tate.minimal_model
     pt = map_point(tate.to_minimal, point)
     if pt.is_infinity:
@@ -104,7 +121,7 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
         if n_p is None:
             v_walk.append(val(q.x, p))
             if m_p is None:
-                if not point_is_singular(minimal, q, p):
+                if not _reduces_singular(minimal, q, p):
                     m_p = n
                 elif n >= m_cap:
                     raise InternalError(f"m_P search exceeded its cap of {m_cap}")
@@ -140,7 +157,6 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
 
     pt_norm = map_point(tate.to_normalized, pt)
     normalized = tate.normalized_model
-    require_on_curve(normalized, pt_norm)
     v_psi2_sq = val(psi2_squared_x(normalized, pt_norm.x), p)
     v_psi3 = val(psi3_value(normalized, pt_norm), p)
     v_phi2 = val(phi2_x(normalized, pt_norm.x), p)

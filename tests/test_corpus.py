@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from gcval import divpoly
+from gcval import curve_core, divpoly, exact_numbers, profile
 from gcval.corpus import (
     CorpusEntry,
     CorpusParseError,
@@ -129,10 +129,10 @@ def test_mp3_check_reads_phi3_on_the_normalized_model():
     assert report.row == "IV"
 
 
-def spy(monkeypatch, name):
+def spy(monkeypatch, name, module=divpoly):
     """Record the positional and keyword arguments of every call to
-    divpoly.<name>, through any gcval module that binds it."""
-    original, calls = getattr(divpoly, name), []
+    <module>.<name>, through any gcval module that binds it."""
+    original, calls = getattr(module, name), []
 
     def wrapper(*args, **kwargs):
         calls.append((args, kwargs))
@@ -158,6 +158,30 @@ def test_verify_entry_builds_one_division_table(corpus_entries, monkeypatch, n_m
         assert [(args[3], kwargs) for args, kwargs in tables] == [
             (max(n_max, 24), {"keep": 24})], entry.label
     assert sequences == []
+
+
+def test_verify_entry_parses_once_and_checks_at_the_boundaries(corpus_entries, tmp_path,
+                                                              monkeypatch):
+    # load_corpus parses each entry's five a-invariants and two coordinates
+    # and checks the point on the curve; verify_entry re-parses nothing and
+    # evaluates the curve equation only where a point enters a public
+    # entry point: the start of the walk, the division table, and, when the
+    # entry reaches them, point_is_singular and mul
+    path = tmp_path / "entry.jsonl"
+    parses = spy(monkeypatch, "parse_rational", exact_numbers)
+    checks = spy(monkeypatch, "equation_value", curve_core)
+    singular_tests = spy(monkeypatch, "point_is_singular", profile)
+    muls = spy(monkeypatch, "mul", curve_core)
+    for entry in corpus_entries:
+        path.write_text(entry_to_json(entry) + "\n", encoding="utf-8")
+        for calls in (parses, checks, singular_tests, muls):
+            calls.clear()
+        [loaded] = load_corpus(path)
+        assert (len(parses), len(checks)) == (7, 1), entry.label
+        checks.clear()
+        assert verify_entry(loaded, n_max=30).ok, entry.label
+        assert len(parses) == 7, entry.label
+        assert len(checks) == 2 + len(singular_tests) + len(muls) <= 3, entry.label
 
 
 def structural_failures(tate, prof, table):

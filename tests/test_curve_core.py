@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcval.curve_core import (
+    INFINITY_POINT,
     CoordinateChange,
     Point,
     WeierstrassModel,
+    _IntegralLaw,
     add,
     apply_change,
     assert_infinite_order,
@@ -25,6 +29,39 @@ from gcval.tate import run_tate
 
 E_MORDELL = WeierstrassModel(0, 0, 0, 0, 1)   # y^2 = x^3 + 1
 E37 = WeierstrassModel(0, 0, 1, -1, 0)        # rank 1, generator (0, 0)
+
+
+def reference_add(model, p1, p2):
+    """P1 + P2 by the chord-and-tangent formulas on Fractions: the reference
+    for the integer group law that curve_core runs."""
+    if p1.is_infinity:
+        return p2
+    if p2.is_infinity:
+        return p1
+    a1, a2, a3, a4, a6 = model.coefficients()
+    x1, y1 = p1.x, p1.y
+    x2, y2 = p2.x, p2.y
+    if x1 == x2:
+        if y2 == -y1 - a1 * x1 - a3:
+            return INFINITY_POINT
+        # p1 == p2 and not 2-torsion: tangent line
+        den = 2 * y1 + a1 * x1 + a3
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
+        nu = (-(x1 ** 3) + a4 * x1 + 2 * a6 - a3 * y1) / den
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    y3 = -(lam + a1) * x3 - nu - a3
+    return Point(x3, y3)
+
+
+def reference_multiples(model, point, count):
+    """[[1]P, ..., [count]P] by repeated reference_add."""
+    out = [point]
+    while len(out) < count:
+        out.append(reference_add(model, out[-1], point))
+    return out
 
 
 def test_derive_hand_values():
@@ -170,3 +207,64 @@ def test_integralize_at():
 def test_on_curve_example():
     assert on_curve(E_MORDELL, Point(2, 3))  # 9 = 8 + 1
     assert not on_curve(E_MORDELL, Point(2, 4))
+
+
+#: the multiples the property test compares, [1]P..[24]P
+_LAW_N = 24
+
+
+@pytest.fixture(scope="module")
+def law_cases(corpus_profiles):
+    """(model, point) pairs for the group-law property test: every corpus
+    point on its minimal model, a torsion point of order 6 (its walk reaches
+    O and goes on) and two 2-torsion points, one of them in E_1 at p = 2."""
+    cases = [(tate.minimal_model, prof.point) for _e, tate, prof, _r in corpus_profiles]
+    cases.append((E_MORDELL, Point(2, 3)))
+    cases.append((WeierstrassModel(0, 0, 0, -1, 0), Point(1, 0)))
+    cases.append((WeierstrassModel(1, -1, 0, -4, 3),
+                  Point(Fraction(3, 4), Fraction(-3, 8))))
+    return cases
+
+
+def check_law(model, point, k, n, i, j):
+    """multiples (also after [k]P), mul at +-n and add at [i]P + [j]P agree
+    with the Fraction reference."""
+    want = reference_multiples(model, point, _LAW_N)
+    # step by step, so that a wrong step fails before later ones blow up;
+    # each triple keeps e > 0 and gcd(X, e) = 1, as the equal-x test needs
+    law = _IntegralLaw(model)
+    q, acc = law.triple(point), None
+    for wanted in want:
+        acc = law.add(acc, q)
+        assert law.point(acc) == wanted
+        assert acc is None or (acc[2] > 0 and gcd(acc[0], acc[2]) == 1)
+    assert list(islice(multiples(model, point), _LAW_N)) == want
+    assert list(islice(multiples(model, point, after=want[k - 1]), _LAW_N - k)) == want[k:]
+    assert mul(model, n, point) == want[n - 1]
+    assert mul(model, -n, point) == neg(model, want[n - 1])
+    assert add(model, want[i - 1], want[j - 1]) == want[i + j - 1]
+    assert add(model, point, point) == reference_add(model, point, point)
+    assert add(model, point, neg(model, point)).is_infinity
+
+
+def test_group_law_matches_the_fraction_reference(law_cases):
+    for model, point in law_cases:
+        check_law(model, point, k=_LAW_N // 2, n=_LAW_N, i=5, j=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       u=st.sampled_from([Fraction(1, 3), Fraction(1, 2), 2, 3]),
+       r=small, s=small, t=small)
+def test_group_law_matches_the_fraction_reference_on_moved_models(law_cases, data,
+                                                                  u, r, s, t):
+    # moved by u = 2 or 3, the a-invariants get denominators, so the law
+    # runs on an integral model scaled by u != 1
+    model, point = data.draw(st.sampled_from(law_cases), label="case")
+    change = CoordinateChange(u, r, s, t)
+    half = st.integers(1, _LAW_N // 2)
+    check_law(apply_change(model, change), map_point(change, point),
+              k=data.draw(st.integers(1, _LAW_N - 1), label="k"),
+              n=data.draw(st.integers(1, _LAW_N), label="n"),
+              i=data.draw(half, label="i"), j=data.draw(half, label="j"))
+
