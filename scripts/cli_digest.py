@@ -20,7 +20,9 @@ points, one of them a 2-torsion point in E_1, so n_P = 1 < 2; ``kval
 ``--mode both`` on one of them; ``kval`` where phi_2(P) = 0 and where
 v(phi_2) = 29 takes a tie past its residues modulo 2^29; ``profile`` and
 ``kval`` on a model integral only at p (u = 3, so the group law runs on
-a scaled model); ``psi`` at
+a scaled model); ``kval --mode both`` at --n-max 60 on a model and a
+point written with integral fractions (``2/1``, ``-6/2``), which parse to
+ints; ``psi`` at
 --n-max 200, at a torsion point, on a model integral only at p and at a
 point with denominators; ``verify`` on a one-entry corpus whose model is
 integral only at p (37a scaled by u = 2, at p = 2) and on one whose point
@@ -86,6 +88,8 @@ OTHER_COMMANDS = (
     # 37a scaled by u = 3: integral at 2 only
     "profile --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 2",
     "kval --curve 0,0,1/27,-1/81,0 --point 0,0 --prime 2 --n-max 40 --mode both",
+    # I2-nonsplit-p3 reflected to (0, -3), written with integral fractions
+    "kval --curve 0,2/1,0,0,18/2 --point 0/4,-6/2 --prime 3 --n-max 60 --mode both",
     # psi_n / phi_n rebuilt from the table split at p: at the guardrail, at
     # a point of order 6 (psi_6 = 0), on 37a scaled by u = 3 at p = 2 and 3,
     # and at the point [5](0, 0) of 37a, x = 1/4

@@ -37,7 +37,7 @@ from .engine import (
 from .errors import EXIT_MISMATCH, EXIT_OK, InputError, ToolkitError, exit_code
 from .exact_numbers import INFINITY, is_prime, parse_rational, val, val_to_json
 from .formal_group import unit_exponent_scan
-from .profile import compute_profile, point_is_singular
+from .profile import WALK_POINTS, compute_profile, point_is_singular
 from .tate import KodairaType, run_tate
 
 
@@ -221,9 +221,6 @@ class EntryReport:
 #: largest psi index the structural checks read (psi_{m+n} with m, n <= 12)
 _STRUCTURAL_INDEX = 24
 
-#: the x-multiple identity runs on [1]P..[20]P
-_X_MULTIPLE_INDEX = 20
-
 
 def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
     """Per-entry identity suite; failures are appended to the report.
@@ -241,11 +238,11 @@ def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
     # the table's integers W_n = c^(n^2-1) psi_n and Phi_n = c^(2n^2) phi_n
     w = [table.scaled_psi(n) for n in range(_STRUCTURAL_INDEX + 1)]
     # x([n]P) psi_n^2 = phi_n, as num(x_n) (c W_n)^2 = Phi_n den(x_n) on the
-    # integers, x_n = x([n]P), for n <= 20, on the profile's walk and on its
-    # continuation past [max(16, n_P)]P
-    points = prof.walk[:_X_MULTIPLE_INDEX]
+    # integers, x_n = x([n]P), for n <= 20, on the points the profile's walk
+    # kept and on their continuation when it stopped short of [20]P
+    points = prof.walk
     points += tuple(islice(multiples(model, pt, after=points[-1]),
-                           _X_MULTIPLE_INDEX - len(points)))
+                           WALK_POINTS - len(points)))
     for n, q in enumerate(points, start=1):
         if q.is_infinity:
             fail("multiple-infinite", f"[{n}]P = O")

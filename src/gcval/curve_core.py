@@ -4,6 +4,15 @@ Everything is done on the full five-coefficient form y^2 + a1*x*y + a3*y =
 x^3 + a2*x^2 + a4*x + a6, never on a completed square, so that p = 2 and
 p = 3 ride the same code path as every other prime.
 
+Every value follows one rule (``as_rational``): a rational that is an
+integer is an ``int``, and any other is a reduced ``Fraction``.  The
+constructors of ``WeierstrassModel`` (with its invariants), ``Point`` and
+``CoordinateChange`` apply it, so integral models, points and changes
+compute on ints throughout.  The one rational division is ``_div``, which
+``apply_change`` and ``map_point`` use: it returns its dividend when the
+divisor is 1 and divides as a Fraction otherwise, so an int ``/`` never
+makes a float.
+
 The group law runs on integers.  Scaled by u, the lcm of the a-invariants'
 denominators, the model becomes integral, and every rational point on it is
 (X/e^2, Y/e^3) with gcd(X, e) = 1.  One chord-or-tangent step forms x3's
@@ -26,14 +35,20 @@ from .errors import InputError, SingularCurveError, TorsionPointError
 from .exact_numbers import Rational, check_prime, format_rational, parse_rational, val
 
 
-def as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def as_rational(x) -> Rational:
+    """x as an int when it is an integer, else as a reduced Fraction."""
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
-        return parse_rational(x)
+        x = parse_rational(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise InputError(f"cannot interpret {x!r} as a rational")
+
+
+def _div(a: Rational, b: Rational) -> Rational:
+    """a / b exactly: a itself when b == 1, else a Fraction."""
+    return a if b == 1 else Fraction(a) / b
 
 
 @dataclass(frozen=True)
@@ -72,7 +87,7 @@ class WeierstrassModel:
             "delta": -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6,
         }
         for name, value in invariants.items():
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_rational(value))
         if self.delta == 0:
             raise SingularCurveError(
                 f"zero discriminant: a = {tuple(map(str, self.coefficients()))}"
@@ -92,10 +107,10 @@ class WeierstrassModel:
 class CoordinateChange:
     """x = u^2 x' + r, y = u^3 y' + u^2 s x' + t, mapping a model to a new one."""
 
-    u: Rational = Fraction(1)
-    r: Rational = Fraction(0)
-    s: Rational = Fraction(0)
-    t: Rational = Fraction(0)
+    u: Rational = 1
+    r: Rational = 0
+    s: Rational = 0
+    t: Rational = 0
 
     def __post_init__(self):
         for name in ("u", "r", "s", "t"):
@@ -121,21 +136,15 @@ class CoordinateChange:
             t1 + u1 * u1 * r2 * s1 + u1 ** 3 * t2,
         )
 
-    def inverse(self) -> "CoordinateChange":
-        u, r, s, t = self.u, self.r, self.s, self.t
-        return CoordinateChange(
-            1 / u, -r / u ** 2, -s / u, (r * s - t) / u ** 3
-        )
-
 
 def apply_change(model: WeierstrassModel, change: CoordinateChange) -> WeierstrassModel:
     a1, a2, a3, a4, a6 = model.coefficients()
     u, r, s, t = change.u, change.r, change.s, change.t
-    na1 = (a1 + 2 * s) / u
-    na2 = (a2 - s * a1 + 3 * r - s * s) / u ** 2
-    na3 = (a3 + r * a1 + 2 * t) / u ** 3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4
-    na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6
+    na1 = _div(a1 + 2 * s, u)
+    na2 = _div(a2 - s * a1 + 3 * r - s * s, u ** 2)
+    na3 = _div(a3 + r * a1 + 2 * t, u ** 3)
+    na4 = _div(a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t, u ** 4)
+    na6 = _div(a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1, u ** 6)
     return WeierstrassModel(na1, na2, na3, na4, na6)
 
 
@@ -176,8 +185,8 @@ def map_point(change: CoordinateChange, point: Point) -> Point:
     if point.is_infinity:
         return INFINITY_POINT
     u, r, s, t = change.u, change.r, change.s, change.t
-    nx = (point.x - r) / u ** 2
-    ny = (point.y - s * (point.x - r) - t) / u ** 3
+    nx = _div(point.x - r, u ** 2)
+    ny = _div(point.y - s * (point.x - r) - t, u ** 3)
     return Point(nx, ny)
 
 
@@ -247,6 +256,8 @@ class _IntegralLaw:
             return INFINITY_POINT
         x, y, e = q
         d = self.u * e
+        if d == 1:
+            return Point(x, y)
         return Point(Fraction(x, d * d), Fraction(y, d * d * d))
 
     def add(self, q1, q2):

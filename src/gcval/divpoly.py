@@ -39,7 +39,6 @@ def psi2_value(model: WeierstrassModel, point: Point) -> Rational:
 
 def psi2_squared_x(model: WeierstrassModel, x) -> Rational:
     """(psi_2)^2 as a function of x alone: 4x^3 + b2 x^2 + 2 b4 x + b6."""
-    x = Fraction(x)
     return 4 * x ** 3 + model.b2 * x * x + 2 * model.b4 * x + model.b6
 
 
@@ -52,7 +51,6 @@ def psi3_value(model: WeierstrassModel, point: Point) -> Rational:
 
 def phi2_x(model: WeierstrassModel, x) -> Rational:
     """phi_2 as a function of x alone: x^4 - b4 x^2 - 2 b6 x - b8."""
-    x = Fraction(x)
     return x ** 4 - model.b4 * x * x - 2 * model.b6 * x - model.b8
 
 

@@ -1,9 +1,15 @@
 """Exact rationals and p-adic valuations.
 
-All field arithmetic in this package happens in Q via fractions.Fraction,
-which already guarantees lowest terms and a positive denominator.  This
+All field arithmetic in this package happens in Q, on one rule: a rational
+that is an integer is a Python ``int``, and any other is a
+fractions.Fraction, which keeps lowest terms and a positive denominator.
+``Rational`` names that pair.  So integral models, points and coordinate
+changes, the common case at p, never build a Fraction or take a gcd.
+A ``float`` is never a rational here: it is what an int ``/`` int makes,
+and ``val`` and ``format_rational`` raise ``InternalError`` on one.  This
 module adds the p-adic valuation (with a distinguished infinity for the
-valuation of 0) and the string forms used in corpus files and CLI output.
+valuation of 0), the residue of a p-integral rational modulo p, and the
+string forms used in corpus files and CLI output.
 
 ``p_split`` splits a non-zero integer into p^v times a unit; both the
 valuation and the division-polynomial oracle's p-split integers use it,
@@ -22,9 +28,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import InputError, NonPrimeError
+from .errors import InputError, InternalError, NonPrimeError
 
-Rational = Fraction
+#: an integer as an int, any other rational as a reduced Fraction
+Rational = int | Fraction
 
 #: Valuation of 0.  Compares greater than every finite valuation and
 #: absorbs addition, which is exactly the arithmetic downstream min/sum
@@ -107,13 +114,40 @@ def val(q, p: int) -> Valuation:
     valuations differ.
     """
     check_prime(p)
-    q = Fraction(q)
+    q = _exact(q)
     if q == 0:
         return INFINITY
     v = p_split(q.numerator, p)[0]
-    if v:
+    if v or q.denominator == 1:
         return v  # q is in lowest terms, so p cannot also divide den
     return -p_split(q.denominator, p)[0]
+
+
+def _exact(q) -> Rational:
+    """q itself for an int or a Fraction, else Fraction(q); a float is the
+    trace of an int / int division and raises InternalError."""
+    if isinstance(q, (int, Fraction)):
+        return q
+    if isinstance(q, float):
+        raise InternalError(f"float {q!r} where an exact rational is required")
+    return Fraction(q)
+
+
+def residue(q: Rational, p: int, k: int = 0) -> int:
+    """(q / p^k) mod p for a p-integral rational q that p^k divides.
+
+    Reads the shifted numerator with one checked divmod, so no quotient is
+    built; raises InternalError when p^k does not divide the numerator or
+    p divides the denominator.
+    """
+    num, den = q.numerator, q.denominator
+    if k:
+        num, rem = divmod(num, p ** k)
+        if rem:
+            raise InternalError(f"reducing {q} / {p}^{k}, which is not {p}-integral")
+    if den % p == 0:
+        raise InternalError(f"reducing {q}, which is not {p}-integral")
+    return num * pow(den, -1, p) % p
 
 
 def int_val(q, p: int) -> int:
@@ -150,7 +184,7 @@ def format_rational(q) -> str:
     print in full up to the n_max guardrail.  The limit still bounds what
     parse_rational reads.
     """
-    q = Fraction(q)
+    q = _exact(q)
     num = str(Decimal(q.numerator))
     if q.denominator == 1:
         return num

@@ -7,9 +7,11 @@ reduction, and the valuations of psi_2^2, psi_3 and phi_2 on the normalized
 model.  One walk over [1]P, ..., [max(16, n_P)]P is also the torsion
 guard, and gives n_P, m_P, [2]P's singularity, the residues r < n_P with
 x([r]P) a p-adic unit, on which engine.predict_phi_val bases its v(phi_n)
-prediction, and the walked points themselves: [n_P]P, from which the
-staircase parameters read s_P, and the multiples the structural checks
-compare with the division polynomials.
+prediction, and two sets of walked points: [n_P]P, from which the
+staircase parameters read s_P, and the first ``WALK_POINTS`` multiples,
+which the structural checks compare with the division polynomials.  The
+points in between are dropped as the walk passes them, so a long walk
+(n_P in the thousands at large p) holds two points, not n_P.
 
 The walk's points come from curve_core's integer group law and are on the
 curve by construction, so ``compute_profile`` checks the point once, where
@@ -34,8 +36,12 @@ from .curve_core import (
 )
 from .divpoly import phi2_x, psi2_squared_x, psi2_value, psi3_value
 from .errors import InternalError, TorsionPointError
-from .exact_numbers import INFINITY, Valuation, val
+from .exact_numbers import INFINITY, Valuation, residue, val
 from .tate import TateResult
+
+#: the walk keeps [1]P..[WALK_POINTS]P, the multiples the x-multiple
+#: identity reads
+WALK_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -53,12 +59,8 @@ class ReductionProfile:
     v_phi2: Valuation
     v_x: Valuation            # v(x(P)) on the minimal model
     x_unit_residues: frozenset  # r in 1..n_P-1 with v(x([r]P)) = 0
-    walk: tuple               # [1]P..[max(16, n_P)]P on the minimal model
-
-    @property
-    def multiple_np(self) -> Point:
-        """[n_P]P on the minimal model, in E_1."""
-        return self.walk[self.n_p - 1]
+    walk: tuple               # [1]P..[min(20, max(16, n_P))]P on the minimal model
+    multiple_np: Point        # [n_P]P on the minimal model, in E_1
 
 
 def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
@@ -72,11 +74,6 @@ def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     return not point.is_infinity and _reduces_singular(model, point, p)
 
 
-def _residue(q, p: int) -> int:
-    """A p-integral rational modulo p."""
-    return q.numerator * pow(q.denominator, -1, p) % p
-
-
 def _reduces_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     """point_is_singular for an affine point known to be on the p-integral
     model: both partials vanish modulo p."""
@@ -85,8 +82,8 @@ def _reduces_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     # integral x forces integral y on an integral model
     if point.y.denominator % p == 0:
         raise InternalError("integral x with non-integral y on an integral model")
-    a1, a2, a3, a4 = (_residue(a, p) for a in model.coefficients()[:4])
-    x, y = _residue(point.x, p), _residue(point.y, p)
+    a1, a2, a3, a4 = (residue(a, p) for a in model.coefficients()[:4])
+    x, y = residue(point.x, p), residue(point.y, p)
     fx = a1 * y - 3 * x * x - 2 * a2 * x - a4
     fy = 2 * y + a1 * x + a3
     return fx % p == 0 and fy % p == 0
@@ -117,7 +114,8 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     for n, q in enumerate(multiples(minimal, pt), start=1):
         if q.is_infinity:
             raise TorsionPointError(f"[{n}]{pt} = O: torsion point")
-        walk.append(q)
+        if n <= WALK_POINTS:
+            walk.append(q)
         if n_p is None:
             v_walk.append(val(q.x, p))
             if m_p is None:
@@ -126,7 +124,7 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
                 elif n >= m_cap:
                     raise InternalError(f"m_P search exceeded its cap of {m_cap}")
             if v_walk[-1] < 0:
-                n_p = n
+                n_p, multiple_np = n, q
             elif n >= n_cap:
                 raise InternalError(f"n_P search exceeded its cap of {n_cap}")
         if n_p is not None and n >= TORSION_GUARD_BOUND:
@@ -177,4 +175,5 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
         x_unit_residues=frozenset(
             r for r, v in enumerate(v_walk, start=1) if v == 0),
         walk=tuple(walk),
+        multiple_np=multiple_np,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .curve_core import CoordinateChange, WeierstrassModel, apply_change
 from .errors import InputError, InternalError, NonIntegralError
-from .exact_numbers import Valuation, check_prime, val
+from .exact_numbers import Valuation, check_prime, residue, val
 
 _KODAIRA_FIXED = ("II", "III", "IV", "II*", "III*", "IV*")
 
@@ -79,14 +79,6 @@ class TateResult:
     split: bool | None                # defined for multiplicative reduction only
 
 
-def _fp(q, p: int) -> int:
-    """Reduce a p-integral rational mod p."""
-    num, den = q.numerator, q.denominator
-    if den % p == 0:
-        raise InternalError("reducing a non-p-integral value")
-    return num * pow(den, -1, p) % p
-
-
 def _poly_value(coeffs, x, p):
     acc = 0
     for c in reversed(coeffs):
@@ -116,7 +108,7 @@ def _cubic_analysis(A, B, C, p):
 
 def _singular_point_mod_p(model: WeierstrassModel, p: int):
     """The unique singular point of the reduced curve, by exhaustive search."""
-    a1, a2, a3, a4, a6 = (_fp(a, p) for a in model.coefficients())
+    a1, a2, a3, a4, a6 = (residue(a, p) for a in model.coefficients())
     for x in range(p):
         for y in range(p):
             f = (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % p
@@ -180,7 +172,7 @@ def _tate_pass(model: WeierstrassModel, p: int):
     # Step 2: node (multiplicative reduction), type I_m with m = v(delta).
     if st.v(m.b2) == 0:
         mm = int(v_delta)
-        a1, a2 = _fp(st.model.a1, p), _fp(st.model.a2, p)
+        a1, a2 = residue(st.model.a1, p), residue(st.model.a2, p)
         tangent_roots = _roots_mod_p([(-a2) % p, a1, 1], p)
         split = len(tangent_roots) == 2
         cv = mm if split else (2 if mm % 2 == 0 else 1)
@@ -195,8 +187,8 @@ def _tate_pass(model: WeierstrassModel, p: int):
         return KodairaType("III"), 2, None, st
     # Step 5: type IV.
     if st.v(m.b6) < 3:
-        a3_1 = _fp(st.model.a3 / p, p)
-        a6_2 = _fp(st.model.a6 / p ** 2, p)
+        a3_1 = residue(st.model.a3, p, 1)
+        a6_2 = residue(st.model.a6, p, 2)
         roots = _roots_mod_p([(-a6_2) % p, a3_1, 1], p)
         cv = 3 if len(roots) == 2 else 1
         return KodairaType("IV"), cv, None, st
@@ -206,12 +198,12 @@ def _tate_pass(model: WeierstrassModel, p: int):
     # then the double root of the Y-quadratic with a t-shift.  Both
     # quadratics are inseparable here (steps 2 and 5 ruled out the
     # separable ones), so each has exactly one root in F_p.
-    a1, a2 = _fp(st.model.a1, p), _fp(st.model.a2, p)
+    a1, a2 = residue(st.model.a1, p), residue(st.model.a2, p)
     (s0,) = _roots_mod_p([(-a2) % p, a1, 1], p)
     if s0:
         st.translate(s=s0)
-    a3_1 = _fp(st.model.a3 / p, p)
-    a6_2 = _fp(st.model.a6 / p ** 2, p)
+    a3_1 = residue(st.model.a3, p, 1)
+    a6_2 = residue(st.model.a6, p, 2)
     (y1,) = _roots_mod_p([(-a6_2) % p, a3_1, 1], p)
     if y1:
         st.translate(t=p * y1)
@@ -221,9 +213,9 @@ def _tate_pass(model: WeierstrassModel, p: int):
         raise InternalError("step-6 normalization failed")
 
     # Step 6: the residual cubic T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3).
-    A = _fp(st.model.a2 / p, p)
-    B = _fp(st.model.a4 / p ** 2, p)
-    C = _fp(st.model.a6 / p ** 3, p)
+    A = residue(st.model.a2, p, 1)
+    B = residue(st.model.a4, p, 2)
+    C = residue(st.model.a6, p, 3)
     kind, info = _cubic_analysis(A, B, C, p)
     if kind == "separable":
         return KodairaType("I*", 0), 1 + info, None, st
@@ -240,8 +232,8 @@ def _tate_pass(model: WeierstrassModel, p: int):
     if st.v(m.a2) < 2 or st.v(m.a4) < 3 or st.v(m.a6) < 4:
         raise InternalError("triple-root translation failed")
     # Step 8: type IV*.
-    a3_2 = _fp(st.model.a3 / p ** 2, p)
-    a6_4 = _fp(st.model.a6 / p ** 4, p)
+    a3_2 = residue(st.model.a3, p, 2)
+    a6_4 = residue(st.model.a6, p, 4)
     roots = _roots_mod_p([(-a6_4) % p, a3_2, 1], p)
     if len(roots) != 1:
         return KodairaType("IV*"), 3 if roots else 1, None, st
@@ -274,8 +266,8 @@ def _istar_subloop(st: _PassState, v_delta: int):
         if n % 2:
             k = (n + 3) // 2
             # quadratic Y^2 + (a3/p^k) Y - a6/p^(n+3)
-            bb = _fp(model.a3 / p ** k, p)
-            cc = (-_fp(model.a6 / p ** (n + 3), p)) % p
+            bb = residue(model.a3, p, k)
+            cc = (-residue(model.a6, p, n + 3)) % p
             roots = _roots_mod_p([cc, bb, 1], p)
             if len(roots) != 1:
                 return KodairaType("I*", n), 4 if roots else 2, None, st
@@ -285,9 +277,9 @@ def _istar_subloop(st: _PassState, v_delta: int):
         else:
             k = (n + 4) // 2
             # quadratic (a2/p) X^2 + (a4/p^k) X + a6/p^(n+3)
-            aa = _fp(model.a2 / p, p)
-            bb = _fp(model.a4 / p ** k, p)
-            cc = _fp(model.a6 / p ** (n + 3), p)
+            aa = residue(model.a2, p, 1)
+            bb = residue(model.a4, p, k)
+            cc = residue(model.a6, p, n + 3)
             roots = _roots_mod_p([cc, bb, aa], p)
             if len(roots) != 1:
                 return KodairaType("I*", n), 4 if roots else 2, None, st
@@ -319,7 +311,7 @@ def run_tate(model: WeierstrassModel, p: int) -> TateResult:
             continue
         v_delta = int(val(current.delta, p))
         v_c4 = val(current.c4, p)
-        v_j = val(current.c4 ** 3 / current.delta, p)
+        v_j = 3 * v_c4 - v_delta  # v(j) = v(c4^3 / delta)
         if kodaira.series == "I" and kodaira.m == 0:
             reduction = "good"
         elif kodaira.series == "I":

@@ -31,6 +31,7 @@ from gcval.engine import (
 )
 from gcval.exact_numbers import INFINITY, val
 from gcval.formal_group import mult_by_m_series, unit_exponent_scan
+from gcval.profile import WALK_POINTS
 from gcval.sequences import r_n
 from gcval.tate import run_tate
 
@@ -253,22 +254,26 @@ def test_a8_formal_group(corpus_entries, corpus_profiles):
         assert mult_by_m_series(generic, m, 3).coefficient(1) == m
 
     good_b = []
+    long_walks = 0
     for entry, tate, prof, row in corpus_profiles:
         p = entry.prime
         if tate.reduction == "good":
             scan = unit_exponent_scan(tate.minimal_model, p)
             assert scan.b in (p, p * p), (entry.label, scan.b)
             good_b.append((entry.label, scan.b))
-        # the walk is the group law's [1]P..[max(16, n_P)]P, its n_P-th
-        # point is [n_P]P, and s_P = -v(x([n_P]P))/2 for every corpus entry
-        assert len(prof.walk) == max(16, prof.n_p), entry.label
+        # the walk keeps the group law's [1]P..[min(20, max(16, n_P))]P,
+        # multiple_np is [n_P]P (past the kept points on IV-p7, n_P = 21),
+        # and s_P = -v(x([n_P]P))/2 for every corpus entry
+        assert len(prof.walk) == min(WALK_POINTS, max(16, prof.n_p)), entry.label
         for n, point in enumerate(prof.walk, start=1):
             assert point == mul(tate.minimal_model, n, prof.point), (entry.label, n)
-        q = prof.walk[prof.n_p - 1]
+        q = mul(tate.minimal_model, prof.n_p, prof.point)
         assert prof.multiple_np == q, entry.label
+        long_walks += prof.n_p > WALK_POINTS
         assert val(q.x, p) < 0
         assert val(q.x, p) - val(q.y, p) == -val(q.x, p) / 2, entry.label
     assert good_b
+    assert long_walks  # a walk past the kept points still finds [n_P]P
 
     # the b = 2 / s = 1 / h = 0 equality case: w from the two point multiples
     # makes the psi prediction exact at the p-power indices n_P * p^t, t <= 2

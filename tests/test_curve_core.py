@@ -38,9 +38,9 @@ def reference_add(model, p1, p2):
         return p2
     if p2.is_infinity:
         return p1
-    a1, a2, a3, a4, a6 = model.coefficients()
-    x1, y1 = p1.x, p1.y
-    x2, y2 = p2.x, p2.y
+    a1, a2, a3, a4, a6 = map(Fraction, model.coefficients())
+    x1, y1 = Fraction(p1.x), Fraction(p1.y)
+    x2, y2 = Fraction(p2.x), Fraction(p2.y)
     if x1 == x2:
         if y2 == -y1 - a1 * x1 - a3:
             return INFINITY_POINT
@@ -54,6 +54,12 @@ def reference_add(model, p1, p2):
     x3 = lam * lam + a1 * lam - a2 - x1 - x2
     y3 = -(lam + a1) * x3 - nu - a3
     return Point(x3, y3)
+
+
+def inverse(change):
+    """The change undoing ``change``, on Fractions."""
+    u, r, s, t = map(Fraction, (change.u, change.r, change.s, change.t))
+    return CoordinateChange(1 / u, -r / u ** 2, -s / u, (r * s - t) / u ** 3)
 
 
 def reference_multiples(model, point, count):
@@ -77,8 +83,8 @@ def test_derive_hand_values():
 def test_invariants_stay_out_of_equality_and_repr():
     same = WeierstrassModel("0", 0, Fraction(1), -1, 0)
     assert same == E37 and hash(same) == hash(E37)
-    assert repr(E37) == ("WeierstrassModel(a1=Fraction(0, 1), a2=Fraction(0, 1), "
-                         "a3=Fraction(1, 1), a4=Fraction(-1, 1), a6=Fraction(0, 1))")
+    # an integral coefficient is held as an int, however it was written
+    assert repr(E37) == "WeierstrassModel(a1=0, a2=0, a3=1, a4=-1, a6=0)"
     assert str(E37) == "(0,0,1,-1,0)"
 
 
@@ -97,9 +103,9 @@ def test_scaling_change_divides_invariants():
     c = CoordinateChange(u=3)
     d0 = E37
     d1 = apply_change(E37, c)
-    assert d1.delta == d0.delta / 3 ** 12
-    assert d1.c4 == d0.c4 / 3 ** 4
-    assert d1.c4 ** 3 / d1.delta == d0.c4 ** 3 / d0.delta  # j is invariant
+    assert d1.delta == Fraction(d0.delta, 3 ** 12)
+    assert d1.c4 == Fraction(d0.c4, 3 ** 4)
+    assert Fraction(d1.c4 ** 3, d1.delta) == Fraction(d0.c4 ** 3, d0.delta)  # j is invariant
 
 
 def test_translation_moves_points():
@@ -115,11 +121,11 @@ units = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
 @given(u=units, r=small, s=small, t=small)
 def test_change_round_trip(u, r, s, t):
     c = CoordinateChange(u, r, s, t)
-    back = c.compose(c.inverse())
+    back = c.compose(inverse(c))
     assert back.is_identity()
-    assert apply_change(apply_change(E37, c), c.inverse()) == E37
+    assert apply_change(apply_change(E37, c), inverse(c)) == E37
     p = Point(0, 0)
-    assert map_point(c.inverse(), map_point(c, p)) == p
+    assert map_point(inverse(c), map_point(c, p)) == p
 
 
 @settings(max_examples=60)
@@ -131,14 +137,14 @@ def test_derived_quantities_transform(u, r, s, t):
     for d in (d0, d1):
         assert 4 * d.b8 == d.b2 * d.b6 - d.b4 ** 2
         assert 1728 * d.delta == d.c4 ** 3 - d.c6 ** 2
-    assert d1.b2 == (d0.b2 + 12 * r) / u ** 2
-    assert d1.b4 == (d0.b4 + r * d0.b2 + 6 * r * r) / u ** 4
-    assert d1.b6 == (d0.b6 + 2 * r * d0.b4 + r * r * d0.b2 + 4 * r ** 3) / u ** 6
-    assert d1.b8 == (d0.b8 + 3 * r * d0.b6 + 3 * r * r * d0.b4
-                     + r ** 3 * d0.b2 + 3 * r ** 4) / u ** 8
-    assert d1.c4 == d0.c4 / u ** 4
-    assert d1.c6 == d0.c6 / u ** 6
-    assert d1.delta == d0.delta / u ** 12
+    assert d1.b2 == Fraction(d0.b2 + 12 * r, u ** 2)
+    assert d1.b4 == Fraction(d0.b4 + r * d0.b2 + 6 * r * r, u ** 4)
+    assert d1.b6 == Fraction(d0.b6 + 2 * r * d0.b4 + r * r * d0.b2 + 4 * r ** 3, u ** 6)
+    assert d1.b8 == Fraction(d0.b8 + 3 * r * d0.b6 + 3 * r * r * d0.b4
+                             + r ** 3 * d0.b2 + 3 * r ** 4, u ** 8)
+    assert d1.c4 == Fraction(d0.c4, u ** 4)
+    assert d1.c6 == Fraction(d0.c6, u ** 6)
+    assert d1.delta == Fraction(d0.delta, u ** 12)
 
 
 def test_doubling_hand_value():

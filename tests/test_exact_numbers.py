@@ -4,12 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcval.errors import InputError, NonPrimeError
+from gcval.errors import InputError, InternalError, NonPrimeError
 from gcval.exact_numbers import (
     INFINITY,
     format_rational,
     is_prime,
     parse_rational,
+    residue,
     val,
     val_to_json,
 )
@@ -129,6 +130,36 @@ def test_parse_rational_refuses_exponents():
     assert parse_rational("+7") == 7
     with pytest.raises(InputError, match="bad rational"):
         parse_rational("1" * 5000)  # past the int-from-str limit
+
+
+def test_val_refuses_a_float():
+    # 5 / 1 is 5.0: an int division that went around curve_core._div
+    with pytest.raises(InternalError, match="float"):
+        val(5 / 1, 5)
+
+
+def test_format_rational_refuses_a_float():
+    with pytest.raises(InternalError, match="float"):
+        format_rational(6 / 2)
+
+
+def test_residue_reads_the_shifted_numerator():
+    assert residue(7, 5) == 2
+    assert residue(Fraction(3, 2), 5) == 4  # 3 * 2^-1 = 3 * 3 mod 5
+    assert residue(Fraction(-250, 7), 5, 3) == (-2 * pow(7, -1, 5)) % 5
+    assert residue(0, 5, 9) == 0
+    with pytest.raises(InternalError):
+        residue(Fraction(50, 3), 5, 3)  # 5^3 does not divide 50
+    with pytest.raises(InternalError):
+        residue(Fraction(1, 5), 5)  # not 5-integral
+
+
+@given(q=rationals, p=st.sampled_from([2, 3, 5, 7]), k=st.integers(0, 3))
+def test_residue_matches_the_quotient(q, p, k):
+    if q == 0 or q.denominator % p or val(q, p) < k:
+        return
+    shifted = q / p ** k
+    assert residue(q, p, k) == shifted.numerator * pow(shifted.denominator, -1, p) % p
 
 
 def test_val_to_json():

@@ -10,15 +10,21 @@ Two independent oracles keep the Tate runner honest:
   triples (point first, a6 solved from the equation).
 
 A third test keeps the profile's residue-class phi_n prediction equal to
-computing [n]P afresh over Q.
+computing [n]P afresh over Q, and a fourth checks that a model, point and
+change given as Fractions and as ints give the same results, each value
+held as an int when it is an integer.
 """
 
 import random
+from fractions import Fraction
+
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from gcval.curve_core import CoordinateChange, Point, WeierstrassModel, apply_change, map_point, mul, on_curve
 from gcval.divpoly import division_table
 from gcval.engine import classify_row, k_direct_range, k_formula, predict_phi_val, table_decomposition
-from gcval.errors import SingularCurveError, TorsionPointError, TwoTorsionError
+from gcval.errors import SingularCurveError, TorsionPointError, ToolkitError, TwoTorsionError
 from gcval.exact_numbers import val
 from gcval.profile import compute_profile
 from gcval.tate import run_tate
@@ -186,3 +192,82 @@ def test_map_point_lands_on_changed_curve():
         moved_model = apply_change(model, change)
         moved_pt = map_point(change, pt)
         assert on_curve(moved_model, moved_pt)
+
+
+@st.composite
+def point_first_cases(draw):
+    """(p, a-invariants, point, change) at p <= 13: the point first, a6
+    solved from the equation, as in the seeded tests above; the change
+    scales by a unit at p or blows the model up by u = 1/p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    small = st.integers(-2 * p, 2 * p)
+    depth = st.integers(0, 2)
+    x = draw(small) * p ** draw(depth)
+    y = draw(small) * p ** draw(depth)
+    a1 = draw(st.sampled_from([0, 1, p]))
+    a2 = draw(st.integers(-p, p))
+    a3 = draw(st.sampled_from([0, 1, p, p * p]))
+    a4 = draw(st.integers(-p, p)) * p ** draw(depth)
+    a6 = y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x
+    u = draw(st.sampled_from([1, -1, 3 if p == 2 else 2, Fraction(1, p)]))
+    r, s, t = (draw(st.integers(-3, 3)) for _ in range(3))
+    return p, (a1, a2, a3, a4, a6), (x, y), (u, r, s, t)
+
+
+def _outcome(call):
+    """call(), or the type and message of the gcval error it raised."""
+    try:
+        return call()
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def _rationals(obj):
+    """The rationals a model (with its invariants), point or change holds."""
+    if isinstance(obj, WeierstrassModel):
+        return (*obj.coefficients(), obj.b2, obj.b4, obj.b6, obj.b8,
+                obj.c4, obj.c6, obj.delta)
+    if isinstance(obj, Point):
+        return () if obj.is_infinity else (obj.x, obj.y)
+    if isinstance(obj, CoordinateChange):
+        return (obj.u, obj.r, obj.s, obj.t)
+    return ()
+
+
+def _point_first_results(p, a, xy, uvw):
+    """What a model, point and change give: the moved model and point, a
+    composed change, Tate on both models, the profile and the oracle rows
+    on the moved model, and the objects whose rationals follow the rule."""
+    model, point, change = WeierstrassModel(*a), Point(*xy), CoordinateChange(*uvw)
+    moved, moved_pt = apply_change(model, change), map_point(change, point)
+    twice = change.compose(change)
+    base = run_tate(model, p)
+    tate = run_tate(moved, p)
+    held = [model, point, change, moved, moved_pt, twice]
+    for res in (base, tate):
+        held += [res.input_model, res.minimal_model, res.normalized_model,
+                 res.to_minimal, res.to_normalized]
+    prof = _outcome(lambda: compute_profile(tate, moved_pt))
+    rows = None
+    if not isinstance(prof, tuple):  # a torsion point has no profile
+        held += [prof.point, prof.point_normalized, prof.multiple_np, *prof.walk]
+        rows = _outcome(lambda: division_table(tate.minimal_model, prof.point, p, 12)
+                        .valuations(12))
+    return (moved, moved_pt, twice, base, tate, prof, rows), held
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=point_first_cases())
+def test_fractions_and_ints_give_the_same_results(case):
+    p, a, xy, uvw = case
+    try:
+        as_ints = _point_first_results(p, a, xy, uvw)
+    except SingularCurveError:
+        reject()
+    as_fractions = _point_first_results(p, tuple(map(Fraction, a)), tuple(map(Fraction, xy)),
+                                        tuple(map(Fraction, uvw)))
+    assert as_fractions[0] == as_ints[0]
+    for held in (as_ints[1], as_fractions[1]):
+        for obj in held:
+            for v in _rationals(obj):
+                assert type(v) is int or (type(v) is Fraction and v.denominator != 1), (obj, v)

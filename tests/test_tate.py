@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gcval.curve_core import CoordinateChange, WeierstrassModel, apply_change
 from gcval.errors import InputError, NonIntegralError, NonPrimeError
-from gcval.exact_numbers import INFINITY
+from gcval.exact_numbers import INFINITY, val
 from gcval.tate import KodairaType, _cubic_analysis, _poly_value, _roots_mod_p, run_tate
 
 
@@ -190,6 +190,14 @@ def test_kodaira_parse_and_str():
 def test_vj_infinite_for_zero_j():
     t = run_tate(WeierstrassModel(0, 0, 0, 0, 1), 5)  # j = 0
     assert t.v_j == INFINITY
+
+
+def test_vj_is_the_valuation_of_j_on_every_corpus_model(corpus_profiles):
+    # run_tate reads v(j) as 3 v(c4) - v(delta); j is the same on both models
+    for entry, tate, _prof, _row in corpus_profiles:
+        for model in (tate.input_model, tate.minimal_model):
+            j = Fraction(model.c4) ** 3 / model.delta
+            assert tate.v_j == val(j, entry.prime), entry.label
 
 
 def _cubic_analysis_by_synthetic_division(A, B, C, p):
