@@ -11,8 +11,11 @@ of the profile/engine layers, and aggregates which table rows the corpus
 covers.  Each entry's model is integralized at p, as the command line does,
 and one division table, built to index max(n_max, 24) on the minimal model
 and keeping the exact W_n to index 24, feeds both the oracle and the
-division-polynomial identities.  An entry that raises is reported with
-the stage it was in.
+division-polynomial identities.  The staircase parameters of a point that
+is non-singular or on multiplicative reduction are derived once, in the
+structural stage, and feed both the ``good-reduction-b`` check and the
+per-factor predictions.  An entry that raises is reported with the stage
+it was in.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .engine import (
 )
 from .errors import EXIT_MISMATCH, EXIT_OK, InputError, ToolkitError, exit_code
 from .exact_numbers import INFINITY, is_prime, parse_rational, val, val_to_json
-from .formal_group import unit_exponent_scan
 from .profile import WALK_POINTS, compute_profile, point_is_singular
 from .tate import KodairaType, run_tate
 
@@ -222,13 +224,15 @@ class EntryReport:
 _STRUCTURAL_INDEX = 24
 
 
-def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
+def _structural_checks(report: EntryReport, prof, table, params) -> None:
     """Per-entry identity suite; failures are appended to the report.
 
     ``table`` is the division table at the profile's point on the minimal
-    model, built to index 24 or more and keeping W_n to 24; ``scan`` is the unit-exponent scan of
-    a non-singular point (every point on good reduction is one), else None.
+    model, built to index 24 or more and keeping W_n to 24; ``params`` are
+    the staircase parameters of a point that is non-singular (every point
+    on good reduction is one) or on multiplicative reduction, else None.
     """
+    tate = prof.tate
     model, p = tate.minimal_model, table.p
     pt = prof.point
 
@@ -283,7 +287,7 @@ def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
         if k.series == "I*" and k.m >= 1:
             m = k.m
             vx = val(npt.x, p)
-            lo = (m + 3) / 2 if m % 2 else (m + 2) / 2
+            lo = (m + 3) // 2 if m % 2 else (m + 2) // 2
             if not (vx == 1 or vx >= lo):
                 fail("Imstar-trichotomy", f"v(x)={vx}")
             if prof.v_phi2 not in (4, m + 4) or prof.v_phi2 != prof.v_psi3:
@@ -303,19 +307,19 @@ def _structural_checks(report: EntryReport, tate, prof, table, scan) -> None:
     if vx >= 0 or vx != -2 * (vx - vy):
         # s_P = v(x/y) = -v(x([n_P]P))/2
         fail("s-identity", f"v(x)={vx} v(y)={vy}")
-    if tate.reduction == "good" and scan.b not in (p, p * p):
-        fail("good-reduction-b", f"b={scan.b}")
+    if tate.reduction == "good" and params.b not in (p, p * p):
+        fail("good-reduction-b", f"b={params.b}")
 
 
-def _prediction_checks(report: EntryReport, tate, prof, rows, scan) -> None:
+def _prediction_checks(report: EntryReport, prof, rows, params) -> None:
     """Compare the per-factor predictions with the oracle's valuations.
 
-    ``rows`` are k_direct_range's (n, k, v_phi, v_psi_sq) for n = 1..n_max.
+    ``rows`` are k_direct_range's (n, k, v_phi, v_psi_sq) for n = 1..n_max;
+    ``params`` are the staircase parameters, None where no prediction is
+    made (a singular point on additive reduction).
     """
-    supported = (not prof.singular) or tate.reduction == "multiplicative"
-    if not supported:
+    if params is None:
         return
-    params = default_staircase_params(prof, scan)
     for (n, _k, _vphi, vpsi_sq) in rows:
         want = vpsi_sq if vpsi_sq == INFINITY else vpsi_sq // 2
         got = predict_psi_val(prof, params, n)
@@ -331,9 +335,10 @@ def _prediction_checks(report: EntryReport, tate, prof, rows, scan) -> None:
                 f"phi-prediction: n={n} predicted={got} actual={want}")
 
 
-def _check_expect(report: EntryReport, entry: CorpusEntry, tate, prof, row) -> None:
+def _check_expect(report: EntryReport, entry: CorpusEntry, prof, row) -> None:
     if not entry.expect:
         return
+    tate = prof.tate
     diffs = []
     exp = entry.expect
     if "kodaira" in exp:
@@ -351,7 +356,7 @@ def _check_expect(report: EntryReport, entry: CorpusEntry, tate, prof, row) -> N
         report.check_failures.extend("expect: " + d for d in diffs)
 
 
-def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
+def verify_entry(entry: CorpusEntry, n_max: int) -> EntryReport:
     report = EntryReport(label=entry.label)
     stage = "tate"
     try:
@@ -385,13 +390,13 @@ def verify_entry(entry: CorpusEntry, n_max: int = 40) -> EntryReport:
         if prof.singular:
             table_decomposition(prof)  # raises InternalError on inconsistency
         stage = "structural"
-        scan = (None if prof.singular
-                else unit_exponent_scan(tate.minimal_model, entry.prime))
-        _structural_checks(report, tate, prof, table, scan)
+        params = (default_staircase_params(prof)
+                  if not prof.singular or tate.reduction == "multiplicative" else None)
+        _structural_checks(report, prof, table, params)
         stage = "predictions"
-        _prediction_checks(report, tate, prof, rows, scan)
+        _prediction_checks(report, prof, rows, params)
         stage = "expect"
-        _check_expect(report, entry, tate, prof, row)
+        _check_expect(report, entry, prof, row)
     except Exception as exc:  # reported with its exit code, as cli.main would
         report.error = f"{type(exc).__name__}: {exc}"
         report.error_code = exit_code(exc)
@@ -430,7 +435,7 @@ class VerificationReport:
         }
 
 
-def verify_corpus(entries, n_max: int = 40) -> VerificationReport:
+def verify_corpus(entries, n_max: int) -> VerificationReport:
     """Verify every entry; aggregation is deterministic in file order."""
     reports = [verify_entry(e, n_max) for e in entries]
     seen = {r.row for r in reports if r.row}

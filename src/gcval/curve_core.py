@@ -118,10 +118,6 @@ class CoordinateChange:
         if self.u == 0:
             raise InputError("coordinate change needs u != 0")
 
-    @staticmethod
-    def identity() -> "CoordinateChange":
-        return CoordinateChange()
-
     def is_identity(self) -> bool:
         return (self.u, self.r, self.s, self.t) == (1, 0, 0, 0)
 
@@ -165,11 +161,6 @@ class Point:
     @property
     def is_infinity(self) -> bool:
         return self.x is None
-
-    def to_strings(self):
-        if self.is_infinity:
-            return "O"
-        return (format_rational(self.x), format_rational(self.y))
 
     def __str__(self):
         if self.is_infinity:
@@ -353,11 +344,10 @@ def multiples(model: WeierstrassModel, point: Point, after: Point | None = None)
         acc = law.add(acc, q)
 
 
-def assert_infinite_order(model: WeierstrassModel, point: Point,
-                          bound: int = TORSION_GUARD_BOUND) -> Point:
+def assert_infinite_order(model: WeierstrassModel, point: Point) -> Point:
     if point.is_infinity:
         raise TorsionPointError("the point at infinity is torsion")
-    for n, acc in zip(range(1, bound + 1), multiples(model, point)):
+    for n, acc in zip(range(1, TORSION_GUARD_BOUND + 1), multiples(model, point)):
         if acc.is_infinity:
             raise TorsionPointError(f"[{n}]{point} = O: torsion point")
     return point
@@ -376,7 +366,7 @@ def integralize_at(model: WeierstrassModel, p: int):
             if v < 0:
                 k = max(k, (-v + i - 1) // i)
     if k == 0:
-        return model, CoordinateChange.identity()
+        return model, CoordinateChange()
     change = CoordinateChange(u=Fraction(1, p ** k))
     return apply_change(model, change), change
 

@@ -56,9 +56,6 @@ def phi2_x(model: WeierstrassModel, x) -> Rational:
 
 @dataclass(frozen=True)
 class DivPolySequence:
-    model: WeierstrassModel
-    point: Point
-    n_max: int
     #: [(n, v_p(phi_n), v_p(psi_n))] for 1 <= n <= n_max, at the table's prime
     valuations: list = field(repr=False)
     _psi: dict = field(repr=False)  # n -> psi_n(P), for -1 <= n <= max(4, n_max + 1)
@@ -247,4 +244,4 @@ def psi_sequence(model: WeierstrassModel, point: Point, p: int,
     psi.update((n, Fraction(t.scaled_psi(n), t.c ** (n * n - 1)))
                for n in range(1, len(t.w) - 1))
     phi = {n: Fraction(t.scaled_phi(n), t.c ** (2 * n * n)) for n in range(1, n_max + 1)}
-    return DivPolySequence(model, point, n_max, t.valuations(n_max), psi, phi)
+    return DivPolySequence(t.valuations(n_max), psi, phi)

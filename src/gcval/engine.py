@@ -29,12 +29,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .exact_numbers import INFINITY, Valuation
-from .formal_group import (
-    StaircaseParams,
-    UnitExponentScan,
-    staircase_params,
-    unit_exponent_scan,
-)
+from .formal_group import StaircaseParams, staircase_params, unit_exponent_scan
 from .profile import ReductionProfile
 from .sequences import r_n, s_n
 
@@ -223,26 +218,23 @@ def table_decomposition(profile: ReductionProfile) -> TheoremPrediction:
     return pred
 
 
-def default_staircase_params(profile: ReductionProfile,
-                             scan: UnitExponentScan | None = None) -> StaircaseParams:
+def default_staircase_params(profile: ReductionProfile) -> StaircaseParams:
     """The staircase parameters the per-factor predictions call for.
 
-    Non-singular points read (b, h) off the multiplication-by-p series of
-    the minimal model (``scan``, when the caller has already run
-    unit_exponent_scan on it); singular points on multiplicative reduction
-    use the prescribed (b, h) = (p, 0).  s_P is read at the profile's
-    [n_P]P.
+    Non-singular points read b off the multiplication-by-p series of the
+    minimal model (unit_exponent_scan); singular points on multiplicative
+    reduction use the prescribed b = p.  s_P is read at the profile's
+    [n_P]P, and K = Q_p fixes e = 1 and h = j = 0 (staircase_params).
     """
     t = profile.tate
     if profile.singular and t.reduction == "multiplicative":
-        b, h = t.p, 0
+        b = t.p
     elif not profile.singular:
-        scan = scan or unit_exponent_scan(t.minimal_model, t.p)
-        b, h = scan.b, scan.h
+        b = unit_exponent_scan(t.minimal_model, t.p)
     else:
         raise UnsupportedCaseError(
             "no staircase parameters for singular points on additive reduction")
-    return staircase_params(t.minimal_model, profile.multiple_np, t.p, b, h)
+    return staircase_params(t.minimal_model, profile.multiple_np, t.p, b)
 
 
 def predict_psi_val(profile: ReductionProfile, params: StaircaseParams,

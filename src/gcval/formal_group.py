@@ -160,19 +160,13 @@ def mult_by_m_series(model: WeierstrassModel, m: int, order: int) -> TruncatedSe
     return series
 
 
-@dataclass(frozen=True)
-class UnitExponentScan:
-    b: int
-    h: int
-    fallback: bool  # True when no unit coefficient exists up to T^(p^2+1)
-
-
-def unit_exponent_scan(model: WeierstrassModel, p: int) -> UnitExponentScan:
-    """Smallest exponent >= 2 in [p]T whose coefficient is a p-adic unit.
+def unit_exponent_scan(model: WeierstrassModel, p: int) -> int:
+    """b: the smallest exponent >= 2 in [p]T whose coefficient is a p-adic
+    unit, or 1 when there is none.
 
     Scans exponents 2..p^2+1 (the theoretical location is p^height with
-    height 1 or 2); if none is found the conventional fallback b = 1, h = 0
-    is returned with the fallback flag set.
+    height 1 or 2); on additive reduction no coefficient is a unit and the
+    conventional b = 1 is returned.
     """
     check_prime(p)
     for bound in (p, p * p + 1):
@@ -180,11 +174,10 @@ def unit_exponent_scan(model: WeierstrassModel, p: int) -> UnitExponentScan:
         for i in range(2, bound + 1):
             c = series.coefficient(i)
             if c and val(c, p) < 1:
-                h = int(val(c, p))
-                if h != 0:
+                if val(c, p) != 0:
                     raise InternalError("unit coefficient with nonzero valuation")
-                return UnitExponentScan(b=i, h=h, fallback=False)
-    return UnitExponentScan(b=1, h=0, fallback=True)
+                return i
+    return 1
 
 
 @dataclass(frozen=True)
@@ -239,26 +232,25 @@ def _xy_valuation(point: Point, p: int) -> Valuation:
 
 
 def staircase_params(model: WeierstrassModel, q: Point, p: int,
-                     b: int, h: int) -> StaircaseParams:
-    """Assemble the staircase parameters of a point P of infinite order.
+                     b: int) -> StaircaseParams:
+    """Assemble the staircase parameters of a point P of infinite order, for
+    K = Q_p.
 
     q is [n_P]P, the first multiple of P in E_1, as
     profile.compute_profile's walk reaches it (ReductionProfile.multiple_np);
-    s_P = v(x/y) is read at q.  b and h come either from unit_exponent_scan
-    or from the fixed values a caller's formula prescribes.
+    s_P = v(x/y) is read at q.  b comes either from unit_exponent_scan or
+    from the value a caller's formula prescribes.  With e = 1 the unit
+    coefficient at T^b has h = 0 and staircase_j gives j = 0, so the
+    parameters are (b, 1, 0, 0, s, w); w is read from [p]q only in the
+    equality case (b - 1) s = 1, that is b = 2 and s = 1.
     """
     check_prime(p)
-    e = 1
     s = _xy_valuation(q, p)
     if s == INFINITY or s < 1:
         raise InternalError(f"v(x/y) at [n_P]P should be a positive integer, got {s}")
     s = int(s)
-    if b == 1:
-        return StaircaseParams(1, e, 0, 0, s, 0).validate(p)
-    j = staircase_j(b, e, h, s)
     w: Valuation = 0
-    if e == b ** j * ((b - 1) * s + h):
-        # e = 1 forces j = 0, so w compares [p^(j+1) n_P]P = [p]q with q
+    if (b - 1) * s == 1:
         v1 = _xy_valuation(mul(model, p, q), p)
-        w = INFINITY if v1 == INFINITY else int(v1) - b * s - h
-    return StaircaseParams(b, e, h, j, s, w).validate(p)
+        w = INFINITY if v1 == INFINITY else int(v1) - b * s
+    return StaircaseParams(b, 1, 0, 0, s, w).validate(p)

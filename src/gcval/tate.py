@@ -65,7 +65,6 @@ class KodairaType:
 @dataclass(frozen=True)
 class TateResult:
     p: int
-    input_model: WeierstrassModel
     minimal_model: WeierstrassModel
     normalized_model: WeierstrassModel
     to_minimal: CoordinateChange      # input -> minimal; u a power of p
@@ -121,20 +120,6 @@ def _singular_point_mod_p(model: WeierstrassModel, p: int):
     raise InternalError("reduced curve has positive v(delta) but no singular point")
 
 
-class _Restart(Exception):
-    """Internal: the model is non-minimal at p; rescale by u = p and rerun.
-
-    Carries the pass state: the u = p scaling applies to the *translated*
-    model the pass ended with (its step-11 coefficient valuations are what
-    make the rescaled model integral), so the accumulated translations must
-    travel with the restart.
-    """
-
-    def __init__(self, state):
-        super().__init__("non-minimal model")
-        self.state = state
-
-
 @dataclass
 class _PassState:
     model: WeierstrassModel
@@ -151,9 +136,14 @@ class _PassState:
 
 
 def _tate_pass(model: WeierstrassModel, p: int):
-    """One pass of the algorithm.  Returns (kodaira, cv, split, state) or
-    raises _Restart when step 11 is reached."""
-    st = _PassState(model, p, CoordinateChange.identity())
+    """One pass of the algorithm.  Returns (kodaira, cv, split, state).
+
+    Step 11 (a non-minimal model) returns kodaira None: the caller rescales
+    the pass's *translated* model, state.model, by u = p (its step-11
+    coefficient valuations are what make the rescaled model integral), so
+    the pass's translations, state.translations, belong to the change too.
+    """
+    st = _PassState(model, p, CoordinateChange())
     v_delta = st.v(st.model.delta)
 
     # Step 1: good reduction.
@@ -250,7 +240,7 @@ def _tate_pass(model: WeierstrassModel, p: int):
     if st.v(st.model.a6) < 6:
         return KodairaType("II*"), 1, None, st
     # Step 11: non-minimal.
-    raise _Restart(st)
+    return None, None, None, st
 
 
 def _istar_subloop(st: _PassState, v_delta: int):
@@ -297,17 +287,16 @@ def run_tate(model: WeierstrassModel, p: int) -> TateResult:
         raise NonIntegralError(
             f"model {model} is not {p}-integral; clear denominators first")
 
-    to_minimal = CoordinateChange.identity()
+    to_minimal = CoordinateChange()
     current = model
     # v(delta) drops by 12 per restart, so this bound is generous.
     max_passes = int(val(current.delta, p)) // 12 + 2
     for _ in range(max_passes):
-        try:
-            kodaira, cv, split, st = _tate_pass(current, p)
-        except _Restart as restart:
+        kodaira, cv, split, st = _tate_pass(current, p)
+        if kodaira is None:
             step = CoordinateChange(u=p)
-            current = apply_change(restart.state.model, step)
-            to_minimal = to_minimal.compose(restart.state.translations).compose(step)
+            current = apply_change(st.model, step)
+            to_minimal = to_minimal.compose(st.translations).compose(step)
             continue
         v_delta = int(val(current.delta, p))
         v_c4 = val(current.c4, p)
@@ -320,7 +309,6 @@ def run_tate(model: WeierstrassModel, p: int) -> TateResult:
             reduction = "additive"
         result = TateResult(
             p=p,
-            input_model=model,
             minimal_model=current,
             normalized_model=st.model,
             to_minimal=to_minimal,

@@ -258,9 +258,9 @@ def test_a8_formal_group(corpus_entries, corpus_profiles):
     for entry, tate, prof, row in corpus_profiles:
         p = entry.prime
         if tate.reduction == "good":
-            scan = unit_exponent_scan(tate.minimal_model, p)
-            assert scan.b in (p, p * p), (entry.label, scan.b)
-            good_b.append((entry.label, scan.b))
+            b = unit_exponent_scan(tate.minimal_model, p)
+            assert b in (p, p * p), (entry.label, b)
+            good_b.append((entry.label, b))
         # the walk keeps the group law's [1]P..[min(20, max(16, n_P))]P,
         # multiple_np is [n_P]P (past the kept points on IV-p7, n_P = 21),
         # and s_P = -v(x([n_P]P))/2 for every corpus entry

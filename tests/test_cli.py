@@ -1,3 +1,4 @@
+import hashlib
 import json
 from decimal import Decimal
 
@@ -327,6 +328,19 @@ def test_exponents_are_refused(capsys):
     # 10^300000 would be built without any string conversion
     assert main(["profile", "--curve", "0,0,0,0,1e300000", "--prime", "5"]) == 2
     assert capsys.readouterr().err.startswith("error: bad rational '1e300000'")
+
+
+#: sha256 of ``verify --n-max 60`` stdout on the bundled corpus, as
+#: scripts/cli_digest.py prints it.  A change that moves this pin changes
+#: the verify report, and says so in CHANGES.md in the same commit.
+VERIFY_60_SHA256 = "293c9451979ce696204fab15bf0e0cdde3d6099855ce52cd31677825fcb6acba"
+
+
+def test_verify_report_is_pinned(capsys):
+    code = main(["verify", "--n-max", "60"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_60_SHA256
 
 
 def test_verify_output_is_deterministic(capsys):

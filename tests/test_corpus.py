@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from gcval import curve_core, divpoly, exact_numbers, profile
+from gcval import curve_core, divpoly, engine, exact_numbers, formal_group, profile
 from gcval.corpus import (
     CorpusEntry,
     CorpusParseError,
@@ -15,7 +15,8 @@ from gcval.corpus import (
     verify_entry,
 )
 from gcval.curve_core import on_curve
-from gcval.formal_group import unit_exponent_scan
+from gcval.engine import default_staircase_params
+from gcval.errors import InternalError
 from gcval.tate import run_tate
 
 
@@ -160,6 +161,34 @@ def test_verify_entry_builds_one_division_table(corpus_entries, monkeypatch, n_m
     assert sequences == []
 
 
+def test_verify_entry_derives_the_staircase_once(corpus_profiles, monkeypatch):
+    # b is scanned once per non-singular entry, and the staircase parameters
+    # are built once per non-singular or multiplicative entry, in the
+    # structural stage, and never for a singular point on additive reduction
+    scans = spy(monkeypatch, "unit_exponent_scan", formal_group)
+    builds = spy(monkeypatch, "staircase_params", formal_group)
+    supported = []
+    for entry, tate, prof, _row in corpus_profiles:
+        scans.clear()
+        builds.clear()
+        assert verify_entry(entry, n_max=30).ok, entry.label
+        has_params = not prof.singular or tate.reduction == "multiplicative"
+        supported.append((entry, has_params))
+        assert len(scans) == (0 if prof.singular else 1), entry.label
+        assert len(builds) == has_params, entry.label
+    kinds = {(prof.singular, tate.reduction) for _e, tate, prof, _r in corpus_profiles}
+    assert {(False, "good"), (True, "multiplicative"), (True, "additive")} <= kinds
+
+    def refuse(*args):
+        raise InternalError("no staircase")
+
+    monkeypatch.setattr(engine, "staircase_params", refuse)
+    for entry, has_params in supported:
+        report = verify_entry(entry, n_max=30)
+        stage = "structural" if has_params else None
+        assert report.error_stage == stage, entry.label
+
+
 def test_verify_entry_parses_once_and_checks_at_the_boundaries(corpus_entries, tmp_path,
                                                               monkeypatch):
     # load_corpus parses each entry's five a-invariants and two coordinates
@@ -186,8 +215,9 @@ def test_verify_entry_parses_once_and_checks_at_the_boundaries(corpus_entries, t
 
 def structural_failures(tate, prof, table):
     report = EntryReport(label="structural")
-    scan = None if prof.singular else unit_exponent_scan(tate.minimal_model, tate.p)
-    _structural_checks(report, tate, prof, table, scan)
+    supported = not prof.singular or tate.reduction == "multiplicative"
+    _structural_checks(report, prof, table,
+                       default_staircase_params(prof) if supported else None)
     return report.check_failures
 
 

@@ -94,7 +94,7 @@ def test_singular_curve_rejected():
 
 
 def test_identity_change_is_noop():
-    c = CoordinateChange.identity()
+    c = CoordinateChange()
     assert apply_change(E37, c) == E37
     assert map_point(c, Point(0, 0)) == Point(0, 0)
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcval.curve_core import Point, WeierstrassModel, assert_infinite_order
+from gcval.curve_core import Point, WeierstrassModel, assert_infinite_order, mul
 from gcval.divpoly import division_table, psi_sequence
 from gcval.engine import (
     ROW_I2MSTAR_C4,
@@ -21,6 +21,7 @@ from gcval.engine import (
 )
 from gcval.errors import InputError, PreconditionError, TorsionPointError
 from gcval.exact_numbers import INFINITY, val
+from gcval.formal_group import StaircaseParams, staircase_j, unit_exponent_scan
 from gcval.profile import compute_profile
 from gcval.tate import run_tate
 
@@ -176,6 +177,34 @@ def test_predictions_match_actual_valuations(corpus_profiles):
             got = predict_psi_val(prof, params, n)
             want = val(seq.psi(n), entry.prime)
             assert got == want, (entry.label, n)
+
+
+def _xy_valuation(q, p):
+    return INFINITY if q.is_infinity or q.x == 0 else val(q.x, p) - val(q.y, p)
+
+
+def test_qp_staircase_matches_the_general_formulas(corpus_profiles):
+    # default_staircase_params fixes e = 1 and h = j = 0; the construction
+    # for any K/Q_p, at e = 1 and h = 0, must give the same parameters:
+    # j = staircase_j(b, e, h, s), and in the equality case
+    # e = b^j ((b - 1) s + h) w = v(x/y) at [p]q minus b s
+    equality = []
+    for entry, tate, prof, _row in corpus_profiles:
+        if prof.singular and tate.reduction != "multiplicative":
+            continue
+        p, q = entry.prime, prof.multiple_np
+        b = p if prof.singular else unit_exponent_scan(tate.minimal_model, p)
+        s = int(_xy_valuation(q, p))
+        j = staircase_j(b, 1, 0, s)
+        w = 0
+        if 1 == b ** j * (b - 1) * s:
+            v1 = _xy_valuation(mul(tate.minimal_model, p, q), p)
+            w = INFINITY if v1 == INFINITY else v1 - b * s
+            equality.append(entry.label)
+        general = StaircaseParams(b, 1, 0, j, s, w).validate(p)
+        assert default_staircase_params(prof) == general, entry.label
+    flagged = {e.label for e, *_ in corpus_profiles if "staircase-w-equality" in e.flags}
+    assert flagged and flagged <= set(equality)
 
 
 def test_index_validation():

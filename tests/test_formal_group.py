@@ -112,24 +112,22 @@ def test_mult_by_m_is_integral_on_integral_models(model):
 
 
 def test_unit_exponent_scans():
-    assert unit_exponent_scan(E37, 2).b == 4          # supersingular at 2
-    assert unit_exponent_scan(E37, 3).b == 9          # supersingular at 3
-    assert unit_exponent_scan(E37, 7).b == 7          # ordinary at 7
-    scan = unit_exponent_scan(WeierstrassModel(1, -1, 1, 0, 0), 2)
-    assert (scan.b, scan.h, scan.fallback) == (2, 0, False)
+    assert unit_exponent_scan(E37, 2) == 4          # supersingular at 2
+    assert unit_exponent_scan(E37, 3) == 9          # supersingular at 3
+    assert unit_exponent_scan(E37, 7) == 7          # ordinary at 7
+    assert unit_exponent_scan(WeierstrassModel(1, -1, 1, 0, 0), 2) == 2
 
 
 def test_unit_exponent_fallback_on_additive_reduction():
     # multiplication by p kills the additive group in char p, so every
     # coefficient of [p]T is divisible by p and the scan falls back to b = 1
-    scan = unit_exponent_scan(WeierstrassModel(0, 0, 0, 5, -125), 5)
-    assert scan.b == 1 and scan.h == 0 and scan.fallback
+    assert unit_exponent_scan(WeierstrassModel(0, 0, 0, 5, -125), 5) == 1
 
 
 def test_staircase_params_b1():
     # s is read at [n_P]P, here [5]P
     model = WeierstrassModel(0, 0, 0, 5, -125)
-    prm = staircase_params(model, mul(model, 5, Point(54, -397)), 5, b=1, h=0)
+    prm = staircase_params(model, mul(model, 5, Point(54, -397)), 5, b=1)
     assert (prm.b, prm.j, prm.w) == (1, 0, 0)
     assert prm.s >= 1
 
@@ -139,7 +137,7 @@ def test_staircase_params_equality_case():
     # from the two point multiples
     model = WeierstrassModel(1, -1, 1, 0, 0)
     q = Point(Fraction(-1, 4), Fraction(-5, 8))
-    prm = staircase_params(model, q, 2, b=2, h=0)  # n_P = 1
+    prm = staircase_params(model, q, 2, b=2)  # n_P = 1
     assert (prm.b, prm.s, prm.j) == (2, 1, 0)
     q1 = mul(model, 2, q)
     expected_w = int(val(q1.x, 2) - val(q1.y, 2)) - 2 * 1 - 0
@@ -148,7 +146,7 @@ def test_staircase_params_equality_case():
 
 def test_staircase_params_no_equality():
     prm = staircase_params(E37, Point(Fraction(1, 4), Fraction(-5, 8)),
-                           2, b=4, h=0)  # n_P = 1
+                           2, b=4)  # n_P = 1
     assert (prm.b, prm.s, prm.j, prm.w) == (4, 1, 0, 0)
 
 

@@ -245,7 +245,7 @@ def _point_first_results(p, a, xy, uvw):
     tate = run_tate(moved, p)
     held = [model, point, change, moved, moved_pt, twice]
     for res in (base, tate):
-        held += [res.input_model, res.minimal_model, res.normalized_model,
+        held += [res.minimal_model, res.normalized_model,
                  res.to_minimal, res.to_normalized]
     prof = _outcome(lambda: compute_profile(tate, moved_pt))
     rows = None
