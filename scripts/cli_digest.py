@@ -31,7 +31,8 @@ is torsion (exit 3); and the exit-2/3 error paths, among them one
 exponent, and ``verify`` on four malformed one-entry corpora and, at
 --n-max 0, on one with no entries.  The script writes the corpora to a
 temporary directory and prints the argv with that directory as ``{tmp}``,
-so digests from two runs compare line by line.
+so digests from two runs compare line by line.  ``tests/test_cli_digest.py``
+compares the digest with the one committed in ``tests/data/cli_digest.txt``.
 """
 
 from __future__ import annotations
@@ -174,10 +175,17 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-if __name__ == "__main__":
+def digest_lines():
+    """Yield the digest line of each command, in order: exit code, sha256
+    of stdout, sha256 of stderr and the argv with ``{tmp}`` unexpanded."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, line in CORPORA.items():
             Path(tmp, name).write_text(line + "\n", encoding="utf-8")
         for argv in commands():
             code, out, err = run([arg.format(tmp=tmp) for arg in argv])
-            print(code, sha(out), sha(err), shlex.join(argv), flush=True)
+            yield f"{code} {sha(out)} {sha(err)} {shlex.join(argv)}"
+
+
+if __name__ == "__main__":
+    for line in digest_lines():
+        print(line, flush=True)

@@ -236,6 +236,8 @@ def cmd_seq(args) -> int:
                          f"got E={e} S={s} H={h} W={w}")
     if b == 1 and (h, w) != (0, 0):
         raise InputError(f"--sn: B = 1 needs H = W = 0, got H={h} W={w}")
+    if n < 1:
+        raise InputError(f"--sn: N must be >= 1, got {n}")
     j = staircase_j(b, e, h, s)
     params = StaircaseParams(b, e, h, j, s, w).validate(p)
     value = s_n(params, p, n)

@@ -11,20 +11,19 @@ of the profile/engine layers, and aggregates which table rows the corpus
 covers.  Each entry's model is integralized at p, as the command line does,
 and one division table, built to index max(n_max, 24) on the minimal model
 and keeping the exact W_n to index 24, feeds both the oracle and the
-division-polynomial identities.  The staircase parameters of a point that
-is non-singular or on multiplicative reduction are derived once, in the
-structural stage, and feed both the ``good-reduction-b`` check and the
-per-factor predictions.  An entry that raises is reported with the stage
-it was in.
+division-polynomial identities; those read the profile's walk to [20]P
+as it is.  The staircase parameters of a point that is non-singular or on
+multiplicative reduction are derived once, in the structural stage, and
+feed both the ``good-reduction-b`` check and the per-factor predictions.
+An entry that raises is reported with the stage it was in.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import islice
 
-from .curve_core import Point, WeierstrassModel, integralize_at, map_point, multiples, on_curve
+from .curve_core import Point, WeierstrassModel, integralize_at, map_point, on_curve
 from .divpoly import division_table, psi2_squared_x
 from .engine import (
     REQUIRED_ROWS,
@@ -39,15 +38,15 @@ from .engine import (
 )
 from .errors import EXIT_MISMATCH, EXIT_OK, InputError, ToolkitError, exit_code
 from .exact_numbers import INFINITY, is_prime, parse_rational, val, val_to_json
-from .profile import WALK_POINTS, compute_profile, point_is_singular
+from .profile import compute_profile, point_is_singular
 from .tate import KodairaType, run_tate
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
     """One corpus line.  The constructor parses the model and the point
-    once and checks that the point is on the curve; ``model()`` and
-    ``curve_point()`` return what it parsed."""
+    once, into ``model`` and ``curve_point``, and checks that the point is
+    on the curve."""
 
     label: str
     a: tuple
@@ -55,23 +54,16 @@ class CorpusEntry:
     prime: int
     expect: dict | None = None
     flags: tuple = ()
-    line: int = 0
-    _model: WeierstrassModel = field(init=False, compare=False, repr=False)
-    _point: Point = field(init=False, compare=False, repr=False)
+    model: WeierstrassModel = field(init=False, compare=False, repr=False)
+    curve_point: Point = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         model = WeierstrassModel(*(parse_rational(s) for s in self.a))
         pt = Point(parse_rational(self.point[0]), parse_rational(self.point[1]))
         if not on_curve(model, pt):
             raise InputError(f"point {pt} is not on curve {model}")
-        object.__setattr__(self, "_model", model)
-        object.__setattr__(self, "_point", pt)
-
-    def model(self) -> WeierstrassModel:
-        return self._model
-
-    def curve_point(self) -> Point:
-        return self._point
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "curve_point", pt)
 
 
 class CorpusParseError(InputError):
@@ -131,7 +123,7 @@ def _parse_entry(obj, line: int) -> CorpusEntry:
     try:
         return CorpusEntry(label, tuple(str(s) for s in a),
                            (str(point[0]), str(point[1])), prime, expect,
-                           tuple(flags), line)
+                           tuple(flags))
     except ToolkitError as exc:
         raise CorpusParseError(line, str(exc)) from exc
 
@@ -242,15 +234,9 @@ def _structural_checks(report: EntryReport, prof, table, params) -> None:
     # the table's integers W_n = c^(n^2-1) psi_n and Phi_n = c^(2n^2) phi_n
     w = [table.scaled_psi(n) for n in range(_STRUCTURAL_INDEX + 1)]
     # x([n]P) psi_n^2 = phi_n, as num(x_n) (c W_n)^2 = Phi_n den(x_n) on the
-    # integers, x_n = x([n]P), for n <= 20, on the points the profile's walk
-    # kept and on their continuation when it stopped short of [20]P
-    points = prof.walk
-    points += tuple(islice(multiples(model, pt, after=points[-1]),
-                           WALK_POINTS - len(points)))
-    for n, q in enumerate(points, start=1):
-        if q.is_infinity:
-            fail("multiple-infinite", f"[{n}]P = O")
-            break
+    # integers, x_n = x([n]P), for n <= 20, on the affine points the
+    # profile's walk kept (it raises TorsionPointError at an [n]P = O)
+    for n, q in enumerate(prof.walk, start=1):
         if q.x.numerator * (table.c * w[n]) ** 2 != table.scaled_phi(n) * q.x.denominator:
             fail("x-multiple-identity", f"n={n}")
     # elliptic divisibility relation at the point, on the integers W_n:
@@ -361,8 +347,8 @@ def verify_entry(entry: CorpusEntry, n_max: int) -> EntryReport:
     stage = "tate"
     try:
         # the entry's point was checked on its model when it was parsed
-        model, change = integralize_at(entry.model(), entry.prime)
-        pt = map_point(change, entry.curve_point())
+        model, change = integralize_at(entry.model, entry.prime)
+        pt = map_point(change, entry.curve_point)
         tate = run_tate(model, entry.prime)
         stage = "profile"
         prof = compute_profile(tate, pt)

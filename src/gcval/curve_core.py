@@ -21,8 +21,8 @@ reads y3 off the line at the reduced size.  ``add``, ``mul`` and
 ``multiples`` all take that step, and each builds a ``Point`` only for what
 it returns or yields.  A point is checked
 on the curve once, where it enters a public entry point (``add``, ``mul``,
-``neg``, the start of ``multiples``); the points the law derives are not
-checked again.
+``neg``, ``multiples`` when its walk starts); the points the law derives
+are not checked again.
 """
 
 from __future__ import annotations
@@ -329,16 +329,13 @@ def mul(model: WeierstrassModel, n: int, point: Point) -> Point:
 TORSION_GUARD_BOUND = 16
 
 
-def multiples(model: WeierstrassModel, point: Point, after: Point | None = None):
+def multiples(model: WeierstrassModel, point: Point):
     """Yield [1]P, [2]P, [3]P, ... without end; P is checked on the curve
-    once, when the first multiple is asked for.  Given ``after`` = [k]P from
-    an earlier walk over the same P, yield [k+1]P, [k+2]P, ... unchecked.
-    The walk steps on integer triples and builds one Point per yield."""
+    once, when the first multiple is asked for.  The walk steps on integer
+    triples and builds one Point per yield."""
     law = _IntegralLaw(model)
-    if after is None:
-        require_on_curve(model, point)
-    q = law.triple(point)
-    acc = q if after is None else law.add(law.triple(after), q)
+    require_on_curve(model, point)
+    acc = q = law.triple(point)
     while True:
         yield law.point(acc)
         acc = law.add(acc, q)

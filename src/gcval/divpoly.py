@@ -183,11 +183,6 @@ def division_table(model: WeierstrassModel, point: Point, p: int,
     b2, b4, b6, b8 = model.b2, model.b4, model.b6, model.b8
     psi4 = psi2 * (2 * x ** 6 + b2 * x ** 5 + 5 * b4 * x ** 4 + 10 * b6 * x ** 3
                    + 10 * b8 * x * x + (b2 * b8 - b4 * b6) * x + (b4 * b8 - b6 * b6))
-    # cross-checks against the x-only closed forms; phi_2 = x psi_2^2 - psi_3
-    if psi2 * psi2 != psi2_squared_x(model, x):
-        raise InternalError("psi_2^2 disagrees with its x-only cubic")
-    if x * psi2 * psi2 - psi3 != phi2_x(model, x):
-        raise InternalError("phi_2 disagrees with its x-only quartic")
 
     c = _integral_scale(model, point)
     scaled = [x * c * c, psi2 * c ** 3, psi3 * c ** 8, psi4 * c ** 15]

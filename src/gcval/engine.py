@@ -163,8 +163,6 @@ class TheoremPrediction:
     slope: Fraction
     modulus: int
     epsilon: tuple  # epsilon[r] for residue r, as Fractions
-    case_tag: str
-    flagged: bool
 
     def epsilon_at(self, n: int) -> Fraction:
         return self.epsilon[n % self.modulus]
@@ -179,7 +177,6 @@ def table_decomposition(profile: ReductionProfile) -> TheoremPrediction:
         raise PreconditionError(
             "the slope/epsilon decomposition is defined for singular points only")
     t = profile.tate
-    row = classify_row(profile)
     if t.reduction == "multiplicative":
         m = t.v_delta
         a = profile.a_p % m
@@ -188,27 +185,23 @@ def table_decomposition(profile: ReductionProfile) -> TheoremPrediction:
         for r in range(m):
             npr = (a * r) % m
             eps.append(Fraction(-npr * (m - npr), m))
-        pred = TheoremPrediction(slope, m, tuple(eps), row, row_is_flagged(row))
+        pred = TheoremPrediction(slope, m, tuple(eps))
     elif t.cv == 3:
         slope = Fraction(int(profile.v_psi2_sq), 3)
-        pred = TheoremPrediction(slope, 3, (Fraction(0), -slope, -slope),
-                                 row, row_is_flagged(row))
+        pred = TheoremPrediction(slope, 3, (Fraction(0), -slope, -slope))
     elif t.cv == 4 and profile.two_p_singular:
         slope = Fraction(int(profile.v_psi3), 4)
-        pred = TheoremPrediction(slope, 4,
-                                 (Fraction(0), -slope, Fraction(-1), -slope),
-                                 row, row_is_flagged(row))
+        pred = TheoremPrediction(slope, 4, (Fraction(0), -slope, Fraction(-1), -slope))
     else:
         # c_v = 2, or c_v = 4 with [2]P non-singular.  The even-index I_m*
         # row is stated through v(phi_2), which coincides with v(psi_3).
-        if row == ROW_I2MSTAR_C4:
+        if classify_row(profile) == ROW_I2MSTAR_C4:
             if profile.v_phi2 != profile.v_psi3:
                 raise InternalError("v(phi_2) != v(psi_3) on an even I_m* entry")
             slope = Fraction(int(profile.v_phi2), 4)
         else:
             slope = Fraction(int(profile.v_psi3), 4)
-        pred = TheoremPrediction(slope, 2, (Fraction(0), -slope),
-                                 row, row_is_flagged(row))
+        pred = TheoremPrediction(slope, 2, (Fraction(0), -slope))
     for n in range(1, 4 * profile.m_p + 1):
         if pred.k_at(n) != k_formula(profile, n):
             raise InternalError(

@@ -150,14 +150,6 @@ def residue(q: Rational, p: int, k: int = 0) -> int:
     return num * pow(den, -1, p) % p
 
 
-def int_val(q, p: int) -> int:
-    """val() for callers that require a finite result."""
-    v = val(q, p)
-    if v == INFINITY:
-        raise InputError("valuation of zero where a finite valuation is required")
-    return int(v)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'num', 'num/den' or a decimal 'num.digits' into an exact rational.
 

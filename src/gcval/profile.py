@@ -4,7 +4,7 @@ Collects everything the valuation formulas need: whether the point reduces
 to the singular locus, the order n_P of its reduction, the order m_P of its
 image in the component group, the component index a_P for multiplicative
 reduction, and the valuations of psi_2^2, psi_3 and phi_2 on the normalized
-model.  One walk over [1]P, ..., [max(16, n_P)]P is also the torsion
+model.  One walk over [1]P, ..., [max(20, n_P)]P is also the torsion
 guard, and gives n_P, m_P, [2]P's singularity, the residues r < n_P with
 x([r]P) a p-adic unit, on which engine.predict_phi_val bases its v(phi_n)
 prediction, and two sets of walked points: [n_P]P, from which the
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from .curve_core import (
-    TORSION_GUARD_BOUND,
     Point,
     WeierstrassModel,
     map_point,
@@ -39,8 +38,9 @@ from .errors import InternalError, TorsionPointError
 from .exact_numbers import INFINITY, Valuation, residue, val
 from .tate import TateResult
 
-#: the walk keeps [1]P..[WALK_POINTS]P, the multiples the x-multiple
-#: identity reads
+#: the walk goes to [WALK_POINTS]P at least and keeps [1]P..[WALK_POINTS]P,
+#: the multiples the x-multiple identity reads; past the torsion orders
+#: over Q (at most 12, Mazur), it is also the torsion guard
 WALK_POINTS = 20
 
 
@@ -59,7 +59,7 @@ class ReductionProfile:
     v_phi2: Valuation
     v_x: Valuation            # v(x(P)) on the minimal model
     x_unit_residues: frozenset  # r in 1..n_P-1 with v(x([r]P)) = 0
-    walk: tuple               # [1]P..[min(20, max(16, n_P))]P on the minimal model
+    walk: tuple               # [1]P..[20]P on the minimal model
     multiple_np: Point        # [n_P]P on the minimal model, in E_1
 
 
@@ -92,7 +92,7 @@ def _reduces_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
 def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     """Profile of an infinite-order point given on the *input* model.
 
-    Raises TorsionPointError if [n]P = O for some n <= max(16, n_P), and
+    Raises TorsionPointError if [n]P = O for some n <= max(20, n_P), and
     InputError, where the walk starts, if the point is not on the curve.
     """
     p = tate.p
@@ -104,7 +104,8 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     # Walk to [n_P]P, the first multiple in E_1 (v(x) < 0); n_P divides
     # c_v * |E~_ns(F_p)| <= c_v * (p + 1 + 2*sqrt(p)).  m_P, the first n with
     # [n]P non-singular, divides n_P because E_1 is non-singular.  As the
-    # torsion guard, the walk goes on to [TORSION_GUARD_BOUND]P at least.
+    # torsion guard, and for the kept points, the walk goes on to
+    # [WALK_POINTS]P at least.
     n_cap = (p + 1 + 2 * math.isqrt(p) + 2 + 1) * tate.cv
     m_for_cap = tate.kodaira.m if tate.kodaira.series == "I" else 0
     m_cap = max(tate.cv, m_for_cap) + 1
@@ -127,7 +128,7 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
                 n_p, multiple_np = n, q
             elif n >= n_cap:
                 raise InternalError(f"n_P search exceeded its cap of {n_cap}")
-        if n_p is not None and n >= TORSION_GUARD_BOUND:
+        if n_p is not None and n >= WALK_POINTS:
             break
     singular = m_p > 1
 

@@ -11,7 +11,7 @@ read off the formal group; it governs growth along p-power indices.
 from __future__ import annotations
 
 from .errors import InputError, InternalError
-from .exact_numbers import INFINITY, Valuation, int_val
+from .exact_numbers import INFINITY, Valuation, val
 
 
 def r_n(a: int, modulus: int, n: int) -> int:
@@ -39,7 +39,7 @@ def s_n(params, p: int, m: int) -> Valuation:
     """
     if m < 1:
         raise InputError(f"staircase index must be >= 1, got {m}")
-    v = int_val(m, p)
+    v = val(m, p)  # finite, as m >= 1
 
     b, e, h, j, s, w = params.b, params.e, params.h, params.j, params.s, params.w
 

@@ -158,43 +158,40 @@ def _tate_pass(model: WeierstrassModel, p: int):
     m = st.model
     if min(st.v(m.a3), st.v(m.a4), st.v(m.a6)) < 1:
         raise InternalError("singular-point translation failed")
+    # The tangent quadratic T^2 + a1 T - a2 at the singular point; steps 2-5
+    # change no coefficient, so step 6 reads the same roots.
+    a1, a2 = residue(m.a1, p), residue(m.a2, p)
+    tangent_roots = _roots_mod_p([(-a2) % p, a1, 1], p)
 
     # Step 2: node (multiplicative reduction), type I_m with m = v(delta).
     if st.v(m.b2) == 0:
         mm = int(v_delta)
-        a1, a2 = residue(st.model.a1, p), residue(st.model.a2, p)
-        tangent_roots = _roots_mod_p([(-a2) % p, a1, 1], p)
         split = len(tangent_roots) == 2
         cv = mm if split else (2 if mm % 2 == 0 else 1)
         return KodairaType("I", mm), cv, split, st
 
     # Additive reduction from here on.
     # Step 3: type II.
-    if st.v(st.model.a6) < 2:
+    if st.v(m.a6) < 2:
         return KodairaType("II"), 1, None, st
     # Step 4: type III.
     if st.v(m.b8) < 3:
         return KodairaType("III"), 2, None, st
-    # Step 5: type IV.
+    # Step 5: type IV, read off the Y-quadratic Y^2 + (a3/p) Y - a6/p^2.
+    y_roots = _roots_mod_p([(-residue(m.a6, p, 2)) % p, residue(m.a3, p, 1), 1], p)
     if st.v(m.b6) < 3:
-        a3_1 = residue(st.model.a3, p, 1)
-        a6_2 = residue(st.model.a6, p, 2)
-        roots = _roots_mod_p([(-a6_2) % p, a3_1, 1], p)
-        cv = 3 if len(roots) == 2 else 1
-        return KodairaType("IV"), cv, None, st
+        return KodairaType("IV"), 3 if len(y_roots) == 2 else 1, None, st
 
     # Step 6 entry: normalize so v(a1), v(a2) >= 1, v(a3) >= 2, v(a4) >= 2,
     # v(a6) >= 3.  First kill the (double) tangent direction with an s-shear,
     # then the double root of the Y-quadratic with a t-shift.  Both
     # quadratics are inseparable here (steps 2 and 5 ruled out the
-    # separable ones), so each has exactly one root in F_p.
-    a1, a2 = residue(st.model.a1, p), residue(st.model.a2, p)
-    (s0,) = _roots_mod_p([(-a2) % p, a1, 1], p)
+    # separable ones), so each has exactly one root in F_p, the one solved
+    # above: the s-shear leaves a3 and a6 as they are.
+    (s0,) = tangent_roots
     if s0:
         st.translate(s=s0)
-    a3_1 = residue(st.model.a3, p, 1)
-    a6_2 = residue(st.model.a6, p, 2)
-    (y1,) = _roots_mod_p([(-a6_2) % p, a3_1, 1], p)
+    (y1,) = y_roots
     if y1:
         st.translate(t=p * y1)
     m = st.model

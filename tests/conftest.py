@@ -20,7 +20,7 @@ def corpus_profiles(corpus_entries):
     """[(entry, tate, profile, row)] computed once for the whole run."""
     out = []
     for entry in corpus_entries:
-        tate = run_tate(entry.model(), entry.prime)
-        prof = compute_profile(tate, entry.curve_point())
+        tate = run_tate(entry.model, entry.prime)
+        prof = compute_profile(tate, entry.curve_point)
         out.append((entry, tate, prof, classify_row(prof)))
     return out

@@ -9,6 +9,7 @@ is zero.
 import time
 from fractions import Fraction
 
+from gcval.cli import N_MAX_GUARDRAIL
 from gcval.corpus import verify_corpus
 from gcval.curve_core import WeierstrassModel, mul
 from gcval.divpoly import phi2_x, psi2_squared_x, psi_sequence
@@ -66,6 +67,15 @@ def test_a1_theorem_end_to_end(corpus_entries):
     print(f"A1 PASS: {len(corpus_entries)} entries, k_formula == k_direct "
           f"for n <= {N_MAX}, rows covered={len(report.covered)}, "
           f"extra={report.extra}, {elapsed:.1f}s")
+
+
+def test_a1_theorem_at_the_n_max_guardrail(corpus_entries):
+    # the closed form against the oracle at every n the command line accepts
+    report = verify_corpus(corpus_entries, n_max=N_MAX_GUARDRAIL)
+    assert report.exit_code == 0
+    for e in report.entries:
+        assert (e.mismatches, e.check_failures, e.error) == ([], [], None), e.label
+        assert e.n_checked == N_MAX_GUARDRAIL, e.label
 
 
 def test_a2_table_decomposition(corpus_entries, corpus_profiles):
@@ -261,10 +271,10 @@ def test_a8_formal_group(corpus_entries, corpus_profiles):
             b = unit_exponent_scan(tate.minimal_model, p)
             assert b in (p, p * p), (entry.label, b)
             good_b.append((entry.label, b))
-        # the walk keeps the group law's [1]P..[min(20, max(16, n_P))]P,
+        # the walk keeps the group law's [1]P..[20]P,
         # multiple_np is [n_P]P (past the kept points on IV-p7, n_P = 21),
         # and s_P = -v(x([n_P]P))/2 for every corpus entry
-        assert len(prof.walk) == min(WALK_POINTS, max(16, prof.n_p)), entry.label
+        assert len(prof.walk) == WALK_POINTS, entry.label
         for n, point in enumerate(prof.walk, start=1):
             assert point == mul(tate.minimal_model, n, prof.point), (entry.label, n)
         q = mul(tate.minimal_model, prof.n_p, prof.point)

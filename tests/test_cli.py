@@ -182,6 +182,7 @@ def test_seq_rn_and_sn(capsys):
     "2 1 0 -1 0 2 1",   # S < 1: the j search would never end
     "0 1 0 1 0 5 1",    # B is neither 1 nor a positive multiple of P
     "3 1 0 1 0 2 1",
+    "2 1 0 1 0 2 0",    # N < 1
 ])
 def test_seq_sn_out_of_range_exits_2(capsys, sn):
     assert main(["seq", "--sn", *sn.split()]) == 2

@@ -25,7 +25,7 @@ def test_bundled_corpus_loads(corpus_entries):
     labels = [e.label for e in corpus_entries]
     assert len(labels) == len(set(labels))
     for e in corpus_entries:
-        assert on_curve(e.model(), e.curve_point())
+        assert on_curve(e.model, e.curve_point)
         assert e.expect and {"kodaira", "cv", "mP", "row"} <= set(e.expect)
 
 
@@ -121,9 +121,9 @@ def test_mp3_check_reads_phi3_on_the_normalized_model():
     # the normalizing translation has r = -1 mod 7; x([3]P) = 0 mod 7 here and
     # v(phi_3) on this model exceeds 6 v(psi_2), but not on the normalized one
     entry = CorpusEntry("IV-p7-shifted", ("0", "3", "0", "3", "-146"), ("6", "14"), 7)
-    tate = run_tate(entry.model(), 7)
-    assert tate.minimal_model == entry.model() and (tate.to_normalized.r + 1) % 7 == 0
-    rows = divpoly.division_table(tate.minimal_model, entry.curve_point(), 7, 3).valuations(3)
+    tate = run_tate(entry.model, 7)
+    assert tate.minimal_model == entry.model and (tate.to_normalized.r + 1) % 7 == 0
+    rows = divpoly.division_table(tate.minimal_model, entry.curve_point, 7, 3).valuations(3)
     assert rows[2][1] > 6 * rows[1][2]
     report = verify_entry(entry, n_max=40)
     assert report.ok, report.check_failures

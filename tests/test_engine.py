@@ -60,7 +60,7 @@ def test_k_formula_split_im_and_table_row():
     prof = profile_of((1, 0, 0, 0, -243), (9, 18), 3)  # split I5, a_P = 2
     assert k_formula(prof, 3) == 10
     dec = table_decomposition(prof)
-    assert dec.case_tag == ROW_IM_SPLIT and not dec.flagged
+    assert classify_row(prof) == ROW_IM_SPLIT
     assert dec.slope == Fraction(6, 5)
     assert dec.epsilon_at(3) == Fraction(-4, 5)  # n' = 1
     assert dec.slope * 9 + dec.epsilon_at(3) == 10
@@ -71,7 +71,7 @@ def test_k_formula_type_III():
     assert prof.v_psi3 == 2  # forced by the type-III slope 1/2
     assert k_formula(prof, 3) == 4  # 2 * (9-1)/4
     dec = table_decomposition(prof)
-    assert dec.case_tag == ROW_III
+    assert classify_row(prof) == ROW_III
     assert dec.slope == Fraction(1, 2) and dec.epsilon_at(1) == Fraction(-1, 2)
 
 
@@ -86,7 +86,7 @@ def test_k_formula_I1star_2P_singular():
     prof = profile_of((0, 3, 0, 27, -1134), (9, 9), 3)
     assert prof.two_p_singular is True
     dec = table_decomposition(prof)
-    assert dec.case_tag == ROW_ISTAR_ODD_C4_SING
+    assert classify_row(prof) == ROW_ISTAR_ODD_C4_SING
     assert dec.slope == Fraction(5, 4)       # (m + 4)/4 with m = 1
     assert dec.epsilon_at(2) == -1
     assert k_formula(prof, 2) == 4           # 5*4/4 - 1
@@ -97,7 +97,7 @@ def test_k_formula_I1star_2P_singular():
 def test_I2mstar_uses_phi2():
     prof = profile_of((0, 3, 0, 81, -972), (9, 27), 3)
     dec = table_decomposition(prof)
-    assert dec.case_tag == ROW_I2MSTAR_C4
+    assert classify_row(prof) == ROW_I2MSTAR_C4
     assert prof.v_phi2 == prof.v_psi3 == 6   # 2m + 4 with m = 1 doubled index
     assert dec.slope == Fraction(prof.v_phi2, 4)
 

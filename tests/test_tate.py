@@ -195,7 +195,7 @@ def test_vj_infinite_for_zero_j():
 def test_vj_is_the_valuation_of_j_on_every_corpus_model(corpus_profiles):
     # run_tate reads v(j) as 3 v(c4) - v(delta); j is the same on both models
     for entry, tate, _prof, _row in corpus_profiles:
-        for model in (entry.model(), tate.minimal_model):
+        for model in (entry.model, tate.minimal_model):
             j = Fraction(model.c4) ** 3 / model.delta
             assert tate.v_j == val(j, entry.prime), entry.label
 
