@@ -41,10 +41,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
 import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 from gcval.cli import main
 
@@ -177,8 +179,11 @@ def sha(text: str) -> str:
 
 def digest_lines():
     """Yield the digest line of each command, in order: exit code, sha256
-    of stdout, sha256 of stderr and the argv with ``{tmp}`` unexpanded."""
-    with tempfile.TemporaryDirectory() as tmp:
+    of stdout, sha256 of stderr and the argv with ``{tmp}`` unexpanded.
+
+    argparse wraps its usage lines to the terminal's width, so the commands
+    run at 80 columns, the width it takes when stdout is no terminal."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
         for name, line in CORPORA.items():
             Path(tmp, name).write_text(line + "\n", encoding="utf-8")
         for argv in commands():
