@@ -13,7 +13,8 @@ The command set is ``verify`` at --n-max 1, 3, 24, 25, 40, 60 and 100
 (each entry's division table goes to index max(n_max, 24), so 24 and 25
 sit either side of that edge); for each entry of the bundled corpus,
 ``kval`` in all three modes, ``profile`` with and
-without --point, ``psi``, ``formal-group`` at its default order and at
+without --point, ``psi`` (the point is passed as one ``--point=x,y``
+token, since argparse reads a separate ``-3,9`` as an option),``formal-group`` at its default order and at
 --m 3 --order 12, and ``seq``; ``profile`` and ``kval`` of torsion
 points, one of them a 2-torsion point in E_1, so n_P = 1 < 2; ``kval
 --mode direct`` at the --n-max 200 guardrail on four corpus points and
@@ -141,7 +142,8 @@ def corpus_commands():
             continue
         entry = json.loads(line)
         curve = ["--curve", ",".join(entry["a"])]
-        point = ["--point", ",".join(entry["point"])]
+        # one token, so that a negative x is not read as an option
+        point = ["--point=" + ",".join(entry["point"])]
         prime = ["--prime", str(entry["prime"])]
         for mode in ("formula", "direct", "both"):
             yield ["kval", *curve, *point, *prime, "--mode", mode]
