@@ -376,8 +376,7 @@ def verify_entry(entry: CorpusEntry, n_max: int) -> EntryReport:
         if prof.singular:
             table_decomposition(prof)  # raises InternalError on inconsistency
         stage = "structural"
-        params = (default_staircase_params(prof)
-                  if not prof.singular or tate.reduction == "multiplicative" else None)
+        params = default_staircase_params(prof)
         _structural_checks(report, prof, table, params)
         stage = "predictions"
         _prediction_checks(report, prof, rows, params)

@@ -10,10 +10,11 @@ Two independent routes are provided and must agree:
   (non-singular branch, multiplicative branch via r_n, additive branches
   via the psi_2^2 / psi_3 valuations).
 
-``table_decomposition`` re-derives the slope/epsilon presentation of the
-closed form (exact rationals, residue-class epsilon rule), and
-``predict_psi_val`` / ``predict_phi_val`` expose the per-factor valuation
-formulas on their supported cases.
+``k_formula`` is the only statement of the closed form.
+``table_decomposition`` reads the slope/epsilon presentation off it (exact
+rationals, residue-class epsilon rule), and ``predict_psi_val`` /
+``predict_phi_val`` take their heads from it (k_n / 2 and k_n) on the cases
+where the per-factor valuations are predicted.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     PreconditionError,
     UnsupportedCaseError,
 )
-from .exact_numbers import INFINITY, Valuation
+from .exact_numbers import Valuation
 from .formal_group import StaircaseParams, staircase_params, unit_exponent_scan
 from .profile import ReductionProfile
 from .sequences import r_n, s_n
@@ -172,36 +173,34 @@ class TheoremPrediction:
 
 
 def table_decomposition(profile: ReductionProfile) -> TheoremPrediction:
-    """Slope and residue-class epsilon rule for a singular point."""
+    """Slope and residue-class epsilon rule for a singular point.
+
+    Only the modulus M is chosen here: v(Delta) on multiplicative reduction,
+    3 for c_v = 3, 4 for c_v = 4 with [2]P singular, else 2.  The slope is
+    k_M / M^2 and epsilon(n mod M) = k_n - slope * n^2 for n = M..2M-1,
+    both read off ``k_formula``, which is then checked against the
+    decomposition for n <= 4 m_P.
+    """
     if not profile.singular:
         raise PreconditionError(
             "the slope/epsilon decomposition is defined for singular points only")
     t = profile.tate
     if t.reduction == "multiplicative":
-        m = t.v_delta
-        a = profile.a_p % m
-        slope = Fraction(a * (m - a), m)
-        eps = []
-        for r in range(m):
-            npr = (a * r) % m
-            eps.append(Fraction(-npr * (m - npr), m))
-        pred = TheoremPrediction(slope, m, tuple(eps))
+        modulus = t.v_delta
     elif t.cv == 3:
-        slope = Fraction(int(profile.v_psi2_sq), 3)
-        pred = TheoremPrediction(slope, 3, (Fraction(0), -slope, -slope))
+        modulus = 3
     elif t.cv == 4 and profile.two_p_singular:
-        slope = Fraction(int(profile.v_psi3), 4)
-        pred = TheoremPrediction(slope, 4, (Fraction(0), -slope, Fraction(-1), -slope))
+        modulus = 4
     else:
         # c_v = 2, or c_v = 4 with [2]P non-singular.  The even-index I_m*
-        # row is stated through v(phi_2), which coincides with v(psi_3).
-        if classify_row(profile) == ROW_I2MSTAR_C4:
-            if profile.v_phi2 != profile.v_psi3:
-                raise InternalError("v(phi_2) != v(psi_3) on an even I_m* entry")
-            slope = Fraction(int(profile.v_phi2), 4)
-        else:
-            slope = Fraction(int(profile.v_psi3), 4)
-        pred = TheoremPrediction(slope, 2, (Fraction(0), -slope))
+        # row is stated through v(phi_2), which must coincide with v(psi_3).
+        if classify_row(profile) == ROW_I2MSTAR_C4 and profile.v_phi2 != profile.v_psi3:
+            raise InternalError("v(phi_2) != v(psi_3) on an even I_m* entry")
+        modulus = 2
+    slope = Fraction(k_formula(profile, modulus), modulus * modulus)
+    eps = tuple(k_formula(profile, n) - slope * n * n
+                for n in range(modulus, 2 * modulus))
+    pred = TheoremPrediction(slope, modulus, eps)
     for n in range(1, 4 * profile.m_p + 1):
         if pred.k_at(n) != k_formula(profile, n):
             raise InternalError(
@@ -211,54 +210,46 @@ def table_decomposition(profile: ReductionProfile) -> TheoremPrediction:
     return pred
 
 
-def default_staircase_params(profile: ReductionProfile) -> StaircaseParams:
-    """The staircase parameters the per-factor predictions call for.
+def _factors_predicted(profile: ReductionProfile) -> bool:
+    """Whether v(psi_n) and v(phi_n) are predicted: everywhere but at a
+    singular point on additive reduction."""
+    return not profile.singular or profile.tate.reduction == "multiplicative"
+
+
+def default_staircase_params(profile: ReductionProfile) -> StaircaseParams | None:
+    """The staircase parameters the per-factor predictions call for, or
+    None where no prediction is made (a singular point on additive
+    reduction).
 
     Non-singular points read b off the multiplication-by-p series of the
     minimal model (unit_exponent_scan); singular points on multiplicative
     reduction use the prescribed b = p.  s_P is read at the profile's
     [n_P]P, and K = Q_p fixes e = 1 and h = j = 0 (staircase_params).
     """
+    if not _factors_predicted(profile):
+        return None
     t = profile.tate
-    if profile.singular and t.reduction == "multiplicative":
-        b = t.p
-    elif not profile.singular:
-        b = unit_exponent_scan(t.minimal_model, t.p)
-    else:
-        raise UnsupportedCaseError(
-            "no staircase parameters for singular points on additive reduction")
+    b = t.p if profile.singular else unit_exponent_scan(t.minimal_model, t.p)
     return staircase_params(t.minimal_model, profile.multiple_np, t.p, b)
 
 
 def predict_psi_val(profile: ReductionProfile, params: StaircaseParams,
                     n: int) -> Valuation:
-    """Predicted v(psi_n(P)) (not squared) in the supported cases."""
-    if n < 1:
-        raise InputError(f"index must be >= 1, got {n}")
-    t = profile.tate
-    if not profile.singular:
-        if profile.v_x >= 0:
-            head = 0
-        else:
-            vx = int(profile.v_x)
-            if vx % 2:
-                raise InternalError("negative v(x) must be even on a minimal model")
-            head = vx // 2 * n * n
-    elif t.reduction == "multiplicative":
-        head = r_n(profile.a_p, t.v_delta, n)
-    else:
+    """Predicted v(psi_n(P)) (not squared) in the supported cases: k_n / 2,
+    plus the staircase value s_(n / n_P) where n_P divides n."""
+    if not _factors_predicted(profile):
         raise UnsupportedCaseError(
             "v(psi_n) is not predicted for singular points on additive reduction")
-    tail = s_n(params, t.p, n // profile.n_p) if n % profile.n_p == 0 else 0
-    if tail == INFINITY:
-        return INFINITY
+    head = _exact_int(k_formula(profile, n), 2)
+    tail = s_n(params, profile.tate.p, n // profile.n_p) if n % profile.n_p == 0 else 0
     return head + tail
 
 
 def predict_phi_val(profile: ReductionProfile, n: int) -> Valuation | None:
     """Predicted v(phi_n(P)), or None where no prediction is made.
 
-    For a non-singular P with n_P not dividing n, v(x(P)) >= 0 (else n_P =
+    Where n_P divides n, v(phi_n) = k_n in the supported cases.  For a
+    non-singular P with n_P not dividing n, v(x(P)) >= 0 (else n_P =
     1) and v(phi_n) = 0 when x([n]P) is a p-adic unit; else None.  This is
     periodic in n mod n_P: reduction E_0(Q_p) -> E~_ns(F_p) is a
     homomorphism with kernel E_1 (Silverman, AEC VII.2), so [n]P reduces
@@ -267,13 +258,9 @@ def predict_phi_val(profile: ReductionProfile, n: int) -> Valuation | None:
     """
     if n < 1:
         raise InputError(f"index must be >= 1, got {n}")
-    t = profile.tate
+    r = n % profile.n_p
+    if r == 0:
+        return k_formula(profile, n) if _factors_predicted(profile) else None
     if not profile.singular:
-        if n % profile.n_p == 0:
-            if profile.v_x >= 0:
-                return 0
-            return int(profile.v_x) * n * n
-        return 0 if n % profile.n_p in profile.x_unit_residues else None
-    if t.reduction == "multiplicative" and n % profile.n_p == 0:
-        return 2 * r_n(profile.a_p, t.v_delta, n)
+        return 0 if r in profile.x_unit_residues else None
     return None

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gcval.cli import N_MAX_GUARDRAIL
 from gcval.curve_core import Point, WeierstrassModel, assert_infinite_order, mul
 from gcval.divpoly import division_table, psi_sequence
 from gcval.engine import (
@@ -109,11 +110,13 @@ def test_decomposition_requires_singular():
 
 
 def test_epsilon_vanishes_at_multiples_of_mp(corpus_profiles):
+    # the decomposition is read off k_formula at n < 2 M and checked at
+    # n <= 4 m_P; it must hold at every n the CLI accepts
     for entry, tate, prof, row in corpus_profiles:
         if not prof.singular:
             continue
         dec = table_decomposition(prof)
-        for n in range(1, 3 * prof.m_p + 1):
+        for n in range(1, N_MAX_GUARDRAIL + 1):
             if n % prof.m_p == 0:
                 assert dec.epsilon_at(n) == 0, entry.label
             assert dec.k_at(n) == k_formula(prof, n), entry.label
