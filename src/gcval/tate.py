@@ -92,17 +92,17 @@ def _roots_mod_p(coeffs, p):
 
 def _cubic_analysis(A, B, C, p):
     """For T^3 + A T^2 + B T + C mod p: ('separable', n_rational_roots) or
-    ('double'|'triple', repeated_root)."""
-    disc = (18 * A * B * C - 4 * A ** 3 * C + A * A * B * B - 4 * B ** 3 - 27 * C * C) % p
-    if disc != 0:
-        return "separable", len(_roots_mod_p([C, B, A, 1], p))
-    # the repeated root of a cubic is Galois-stable, hence in F_p; it is the
-    # common root of f and f', and the third root is -A - 2*alpha
-    for alpha in range(p):
-        if (_poly_value([C, B, A, 1], alpha, p) == 0
-                and _poly_value([B, 2 * A, 3], alpha, p) == 0):
+    ('double'|'triple', repeated_root).
+
+    A repeated root of a cubic is Galois-stable, hence in F_p, and it is the
+    one root where f' vanishes too; the third root is -A - 2*alpha.  A cubic
+    with no such root is separable.
+    """
+    roots = _roots_mod_p([C, B, A, 1], p)
+    for alpha in roots:
+        if _poly_value([B, 2 * A, 3], alpha, p) == 0:
             return ("triple" if (A + 3 * alpha) % p == 0 else "double"), alpha
-    raise InternalError("cubic with zero discriminant but no repeated root found")
+    return "separable", len(roots)
 
 
 def _singular_point_mod_p(model: WeierstrassModel, p: int):

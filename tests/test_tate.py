@@ -226,14 +226,28 @@ def _cubic_analysis_by_synthetic_division(A, B, C, p):
     raise AssertionError("zero discriminant but no repeated root")
 
 
+def _cubic_analysis_by_discriminant(A, B, C, p):
+    """Reference: separable iff the discriminant is non-zero, else the
+    common root of f and f'."""
+    disc = (18 * A * B * C - 4 * A ** 3 * C + A * A * B * B - 4 * B ** 3 - 27 * C * C) % p
+    if disc != 0:
+        return "separable", len(_roots_mod_p([C, B, A, 1], p))
+    for alpha in range(p):
+        if (_poly_value([C, B, A, 1], alpha, p) == 0
+                and _poly_value([B, 2 * A, 3], alpha, p) == 0):
+            return ("triple" if (A + 3 * alpha) % p == 0 else "double"), alpha
+    raise AssertionError("zero discriminant but no repeated root")
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_cubic_analysis_matches_synthetic_division(p):
-    # every monic cubic over F_p
+    # every monic cubic over F_p, against both references
     for A in range(p):
         for B in range(p):
             for C in range(p):
-                assert (_cubic_analysis(A, B, C, p)
-                        == _cubic_analysis_by_synthetic_division(A, B, C, p)), (A, B, C, p)
+                got = _cubic_analysis(A, B, C, p)
+                assert got == _cubic_analysis_by_synthetic_division(A, B, C, p), (A, B, C, p)
+                assert got == _cubic_analysis_by_discriminant(A, B, C, p), (A, B, C, p)
 
 
 def _quad_separable(a, b, c, p):
