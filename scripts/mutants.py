@@ -10,10 +10,12 @@ every n the command line accepts fails on each of them.
 The script copies the checkout (``src/``, ``tests/``, ``scripts/``,
 ``perfbench/`` and ``pyproject.toml``) to a temporary directory, runs Tier-1
 there once unmutated, and then once per edit with that edit applied.  It
-prints ``killed``, ``survived`` or ``absent`` (the edited line is not in
-this tree) per edit, and exits 0 only when every edit was applied and
-killed.  It adds no test and is not part of Tier-1; one run takes a few
-minutes, nearly all of it in the surviving edits' full Tier-1 runs.
+prints ``killed``, ``survived`` or ``absent`` (the edited text does not
+occur exactly once in this tree) per edit, and exits 0 only when every edit was applied and
+killed.  It adds no test and is not part of Tier-1.  Tier-1 runs with -x,
+so a killed edit stops at its first failing test; one run of the script
+took under a minute on a 2-vCPU VM with every edit killed, and each
+surviving edit adds a full Tier-1 run.
 
 Run from the repository root:  python scripts/mutants.py
 """
