@@ -14,7 +14,8 @@ The command set is ``verify`` at --n-max 1, 3, 24, 25, 40, 60 and 100
 sit either side of that edge); for each entry of the bundled corpus,
 ``kval`` in all three modes, ``profile`` with and
 without --point, ``psi`` (the point is passed as one ``--point=x,y``
-token, since argparse reads a separate ``-3,9`` as an option),``formal-group`` at its default order and at
+token; ``cli.main`` reads a separate ``-3,9`` the same way), ``formal-group``
+at its default order and at
 --m 3 --order 12, and ``seq``; ``profile`` and ``kval`` of torsion
 points, one of them a 2-torsion point in E_1, so n_P = 1 < 2; ``kval
 --mode direct`` at the --n-max 200 guardrail on four corpus points and

@@ -5,7 +5,10 @@ Each edit (a mutant) replaces one line of the closed form, the r_n
 sequence, the oracle's tie rule or the slope/epsilon modulus with a line
 that is wrong only somewhere: off by one past some n, at one n, or with a
 modulus that is not the row's.  A test suite that checks the closed form at
-every n the command line accepts fails on each of them.
+every n the command line accepts fails on each of them.  Further edits
+change one decision of ``profile.compute_profile`` (n_P, a_P, [2]P's
+singularity) or of ``tate.run_tate`` (split, c_v of IV and I_m*, the
+step-6 cubic's triple root), which the closed form reads.
 
 The script copies the checkout (``src/``, ``tests/``, ``scripts/``,
 ``perfbench/`` and ``pyproject.toml``) to a temporary directory, runs Tier-1
@@ -40,6 +43,13 @@ _MULT = ('if t.reduction == "multiplicative":\n'
          '        return 2 * r_n(profile.a_p, t.v_delta, n)')
 _CV3 = "return _exact_int(v * n * n, 3)"
 _CV4_N2 = "return _exact_int(v * n * n, 4) - 1"
+_PROFILE = "src/gcval/profile.py"
+_TATE = "src/gcval/tate.py"
+_ISTAR_RETURN = 'return KodairaType("I*", n), 4 if roots else 2, None, st\n'
+_ISTAR_ODD = _ISTAR_RETURN + "            (root,) = roots\n            if root:\n" \
+    "                st.translate(t="
+_ISTAR_EVEN = _ISTAR_RETURN + "            (root,) = roots\n            if root:\n" \
+    "                st.translate(r="
 
 #: (name, file, text that must occur once, its replacement); each
 #: replacement changes one line
@@ -61,6 +71,25 @@ EDITS = (
      "return k + p_split(d, p)[0]", "return k + p_split(d, p)[0] + (k > 10 ** 4)"),
     ("table_decomposition, modulus 2 for c_v = 4 with [2]P singular", _ENGINE,
      "        modulus = 4\n", "        modulus = 2\n"),
+    ("compute_profile two_p_singular, >= for >", _PROFILE,
+     "two_p_singular = m_p > 2", "two_p_singular = m_p >= 2"),
+    ("compute_profile split a_P, max for min", _PROFILE,
+     "a_p = min(int(vpsi2), m // 2)", "a_p = max(int(vpsi2), m // 2)"),
+    ("compute_profile n_P, first v(x) <= 0 for < 0", _PROFILE,
+     "if v_walk[-1] < 0:", "if v_walk[-1] <= 0:"),
+    # not ">= 1": at a node the tangent quadratic's discriminant b2 is a unit,
+    # so it has 0 or 2 roots in F_p, and that edit changes nothing
+    ("run_tate split I_m, != 2 tangent roots for == 2", _TATE,
+     "split = len(tangent_roots) == 2", "split = len(tangent_roots) != 2"),
+    ("run_tate IV, c_v 3 and 1 swapped", _TATE,
+     "KodairaType(\"IV\"), 3 if len(y_roots) == 2 else 1",
+     "KodairaType(\"IV\"), 1 if len(y_roots) == 2 else 3"),
+    ("run_tate I_m* odd step, c_v 4 and 2 swapped", _TATE, _ISTAR_ODD,
+     _ISTAR_ODD.replace("4 if roots else 2", "2 if roots else 4")),
+    ("run_tate I_m* even step, c_v 4 and 2 swapped", _TATE, _ISTAR_EVEN,
+     _ISTAR_EVEN.replace("4 if roots else 2", "2 if roots else 4")),
+    ("run_tate step 6, triple-root test negated", _TATE,
+     "\"triple\" if (A + 3 * alpha) % p == 0", "\"triple\" if (A + 3 * alpha) % p != 0"),
 )
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from importlib import resources
 
@@ -320,8 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # a value such as --point -3,9 is the option's value, not an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--curve", "--point") and re.match(r"-[\d./]", argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

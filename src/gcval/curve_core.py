@@ -23,12 +23,17 @@ it returns or yields.  A point is checked
 on the curve once, where it enters a public entry point (``add``, ``mul``,
 ``neg``, ``multiples`` when its walk starts); the points the law derives
 are not checked again.
+
+Two facts about a point have their one owner here: its integer form
+(``integral_form``, which the division-polynomial oracle reads), and
+whether it is torsion (``multiples``, which raises at the first [n]P = O).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd, isqrt, lcm
 
 from .errors import InputError, SingularCurveError, TorsionPointError
@@ -213,24 +218,19 @@ def _neg(model: WeierstrassModel, point: Point) -> Point:
     return Point(point.x, -point.y - model.a1 * point.x - model.a3)
 
 
-def integral_scale(model: WeierstrassModel) -> int:
-    """u = lcm of the a-invariants' denominators: scaling by it makes every
-    A_i = u^i a_i an integer, and keeps the model at any prime not dividing u."""
-    return lcm(*(a.denominator for a in model.coefficients()))
-
-
 class _IntegralLaw:
     """The group law on the integral model A_i = u^i a_i, on integers.
 
-    There every rational point is (X/e^2, Y/e^3) with e > 0 and
-    gcd(X, e) = 1; it is held as the triple (X, Y, e), and O as None.  The
-    model's point (x, y) is (X/(u e)^2, Y/(u e)^3).
+    u is the lcm of the a-invariants' denominators.  There every rational
+    point is (X/e^2, Y/e^3) with e > 0 and gcd(X, e) = 1; it is held as the
+    triple (X, Y, e), and O as None.  The model's point (x, y) is
+    (X/(u e)^2, Y/(u e)^3).
     """
 
     __slots__ = ("u", "a1", "a2", "a3", "a4")
 
     def __init__(self, model: WeierstrassModel):
-        u = self.u = integral_scale(model)
+        u = self.u = lcm(*(a.denominator for a in model.coefficients()))
         self.a1, self.a2, self.a3, self.a4 = (
             (a * u ** i).numerator for a, i in zip(model.coefficients(), (1, 2, 3, 4)))
 
@@ -324,29 +324,40 @@ def mul(model: WeierstrassModel, n: int, point: Point) -> Point:
     return _neg(model, q) if n < 0 else q
 
 
-#: Over Q the torsion order is at most 12 (Mazur); 16 adds margin.  This
-#: guard is Q-only and is documented as such.
-TORSION_GUARD_BOUND = 16
+def integral_form(model: WeierstrassModel, point: Point):
+    """(X, Y, c = u e), with (X, Y, e) the affine point's triple on the
+    integral model: x(P) = X/c^2 and y(P) = Y/c^3."""
+    law = _IntegralLaw(model)
+    x, y, e = law.triple(point)
+    return x, y, law.u * e
+
+
+#: every walk passes [WALK_POINTS]P, so it meets O on each torsion point
+#: over Q, whose order is at most 12 (Mazur)
+WALK_POINTS = 20
 
 
 def multiples(model: WeierstrassModel, point: Point):
-    """Yield [1]P, [2]P, [3]P, ... without end; P is checked on the curve
+    """Yield [1]P, [2]P, [3]P, ... while they are affine, and raise
+    TorsionPointError at the first [n]P = O.  P is checked on the curve
     once, when the first multiple is asked for.  The walk steps on integer
     triples and builds one Point per yield."""
     law = _IntegralLaw(model)
     require_on_curve(model, point)
+    if point.is_infinity:
+        raise TorsionPointError("the point at infinity is torsion")
     acc = q = law.triple(point)
-    while True:
+    for n in count(2):
         yield law.point(acc)
         acc = law.add(acc, q)
+        if acc is None:
+            raise TorsionPointError(f"[{n}]{point} = O: torsion point")
 
 
 def assert_infinite_order(model: WeierstrassModel, point: Point) -> Point:
-    if point.is_infinity:
-        raise TorsionPointError("the point at infinity is torsion")
-    for n, acc in zip(range(1, TORSION_GUARD_BOUND + 1), multiples(model, point)):
-        if acc.is_infinity:
-            raise TorsionPointError(f"[{n}]{point} = O: torsion point")
+    """The point, once its walk has passed [WALK_POINTS]P without meeting O."""
+    for _ in islice(multiples(model, point), WALK_POINTS):
+        pass
     return point
 
 

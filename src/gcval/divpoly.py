@@ -3,7 +3,8 @@
 Evaluation is numeric at the point, never symbolic.  One recurrence runs
 on the integers W_n = c^(n^2-1) psi_n from the printed bases psi_1..psi_4
 and psi_0 = 0, psi_-1 = -1, with c = u e when scaling by u makes the model
-integral and puts P at x = X/e^2.  Each W_n is held as p^k U with p not
+integral and puts P at x = X/e^2.  X and c are P's integer form, which
+curve_core.integral_form owns.  Each W_n is held as p^k U with p not
 dividing U: a product adds exponents, a difference of two terms has a
 known exponent unless the two tie, and only then is p split off.
 Phi_n = c^(2n^2) phi_n = X W_n^2 - W_(n-1) W_(n+1).
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 
-from .curve_core import Point, WeierstrassModel, integral_scale, require_on_curve
+from .curve_core import Point, WeierstrassModel, integral_form, require_on_curve
 from .errors import InputError, InternalError, TwoTorsionError
 from .exact_numbers import INFINITY, Rational, Valuation, check_prime, p_split
 
@@ -90,17 +91,6 @@ def _join(a: tuple, p: int) -> int:
     """The integer p^k U of a p-split pair (k, U)."""
     k, u = a
     return 0 if u == 0 else p ** k * u
-
-
-def _integral_scale(model: WeierstrassModel, point: Point) -> int:
-    """c such that W_n = c^(n^2-1) psi_n(P) and X = c^2 x(P) are integers.
-
-    Scaling the model by u = lcm(denominators of the a-invariants)
-    multiplies psi_n by u^(n^2-1) and x by u^2, and on the integral model
-    u^2 x(P) = X/e^2; then c = u e.  On a p-integral model v_p(u) = 0.
-    """
-    u = integral_scale(model)
-    return u * isqrt((u * u * point.x).denominator)
 
 
 def _tie_modulus(p: int) -> int:
@@ -184,8 +174,8 @@ def division_table(model: WeierstrassModel, point: Point, p: int,
     psi4 = psi2 * (2 * x ** 6 + b2 * x ** 5 + 5 * b4 * x ** 4 + 10 * b6 * x ** 3
                    + 10 * b8 * x * x + (b2 * b8 - b4 * b6) * x + (b4 * b8 - b6 * b6))
 
-    c = _integral_scale(model, point)
-    scaled = [x * c * c, psi2 * c ** 3, psi3 * c ** 8, psi4 * c ** 15]
+    big_x, _, c = integral_form(model, point)
+    scaled = [big_x, psi2 * c ** 3, psi3 * c ** 8, psi4 * c ** 15]
     if any(q.denominator != 1 for q in scaled):
         raise InternalError(f"{point} is not X/e^2, Y/e^3 on the integral model "
                             f"of {model}")

@@ -224,10 +224,6 @@ def staircase_j(b: int, e: int, h: int, s: int) -> int:
 
 
 def _xy_valuation(point: Point, p: int) -> Valuation:
-    if point.is_infinity:
-        return INFINITY
-    if point.x == 0:
-        return INFINITY
     return val(point.x, p) - val(point.y, p)
 
 

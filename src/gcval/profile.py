@@ -4,20 +4,21 @@ Collects everything the valuation formulas need: whether the point reduces
 to the singular locus, the order n_P of its reduction, the order m_P of its
 image in the component group, the component index a_P for multiplicative
 reduction, and the valuations of psi_2^2, psi_3 and phi_2 on the normalized
-model.  One walk over [1]P, ..., [max(20, n_P)]P is also the torsion
-guard, and gives n_P, m_P, [2]P's singularity, the residues r < n_P with
-x([r]P) a p-adic unit, on which engine.predict_phi_val bases its v(phi_n)
-prediction, and two sets of walked points: [n_P]P, from which the
-staircase parameters read s_P, and the first ``WALK_POINTS`` multiples,
-which the structural checks compare with the division polynomials.  The
-points in between are dropped as the walk passes them, so a long walk
-(n_P in the thousands at large p) holds two points, not n_P.
+model.  One walk over [1]P, ..., [max(WALK_POINTS, n_P)]P is the torsion
+guard (curve_core.multiples raises at an [n]P = O), and gives n_P, m_P,
+[2]P's singularity, the residues r < n_P with x([r]P) a p-adic unit, on
+which engine.predict_phi_val bases its v(phi_n) prediction, and two sets
+of walked points: [n_P]P, from which the staircase parameters read s_P,
+and the first ``WALK_POINTS`` multiples, which the structural checks
+compare with the division polynomials.  The points in between are dropped
+as the walk passes them, so a long walk (n_P in the thousands at large p)
+holds two points, not n_P.
 
 The walk's points come from curve_core's integer group law and are on the
 curve by construction, so ``compute_profile`` checks the point once, where
 the walk starts, and not the walked points or the normalized image.  It
 reads v_p(x([n]P)) off each point's numerator and denominator and tests
-singularity by the partials modulo p.  ``point_is_singular``, for outside
+singularity by tate.partials_vanish.  ``point_is_singular``, for outside
 callers, checks its point first.
 """
 
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .curve_core import (
+    WALK_POINTS,
     Point,
     WeierstrassModel,
     map_point,
@@ -34,14 +36,9 @@ from .curve_core import (
     require_on_curve,
 )
 from .divpoly import phi2_x, psi2_squared_x, psi2_value, psi3_value
-from .errors import InternalError, TorsionPointError
+from .errors import InternalError
 from .exact_numbers import INFINITY, Valuation, residue, val
-from .tate import TateResult
-
-#: the walk goes to [WALK_POINTS]P at least and keeps [1]P..[WALK_POINTS]P,
-#: the multiples the x-multiple identity reads; past the torsion orders
-#: over Q (at most 12, Mazur), it is also the torsion guard
-WALK_POINTS = 20
+from .tate import TateResult, partials_vanish
 
 
 @dataclass(frozen=True)
@@ -82,24 +79,19 @@ def _reduces_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     # integral x forces integral y on an integral model
     if point.y.denominator % p == 0:
         raise InternalError("integral x with non-integral y on an integral model")
-    a1, a2, a3, a4 = (residue(a, p) for a in model.coefficients()[:4])
-    x, y = residue(point.x, p), residue(point.y, p)
-    fx = a1 * y - 3 * x * x - 2 * a2 * x - a4
-    fy = 2 * y + a1 * x + a3
-    return fx % p == 0 and fy % p == 0
+    a = [residue(c, p) for c in model.coefficients()[:4]]
+    return partials_vanish(a, residue(point.x, p), residue(point.y, p), p)
 
 
 def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     """Profile of an infinite-order point given on the *input* model.
 
-    Raises TorsionPointError if [n]P = O for some n <= max(20, n_P), and
-    InputError, where the walk starts, if the point is not on the curve.
+    Raises TorsionPointError if some [n]P = O, n <= max(WALK_POINTS, n_P),
+    and InputError, where the walk starts, if the point is not on the curve.
     """
     p = tate.p
     minimal = tate.minimal_model
     pt = map_point(tate.to_minimal, point)
-    if pt.is_infinity:
-        raise TorsionPointError("the point at infinity is torsion")
 
     # Walk to [n_P]P, the first multiple in E_1 (v(x) < 0); n_P divides
     # c_v * |E~_ns(F_p)| <= c_v * (p + 1 + 2*sqrt(p)).  m_P, the first n with
@@ -113,8 +105,6 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     v_walk = []
     m_p = n_p = None
     for n, q in enumerate(multiples(minimal, pt), start=1):
-        if q.is_infinity:
-            raise TorsionPointError(f"[{n}]{pt} = O: torsion point")
         if n <= WALK_POINTS:
             walk.append(q)
         if n_p is None:

@@ -105,17 +105,20 @@ def _cubic_analysis(A, B, C, p):
     return "separable", len(roots)
 
 
+def partials_vanish(a, x: int, y: int, p: int) -> bool:
+    """Both partials vanish at (x, y) mod p; a = (a1, a2, a3, a4, ...) mod p."""
+    a1, a2, a3, a4 = a[:4]
+    return ((a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0
+            and (2 * y + a1 * x + a3) % p == 0)
+
+
 def _singular_point_mod_p(model: WeierstrassModel, p: int):
     """The unique singular point of the reduced curve, by exhaustive search."""
-    a1, a2, a3, a4, a6 = (residue(a, p) for a in model.coefficients())
+    a = a1, a2, a3, a4, a6 = tuple(residue(c, p) for c in model.coefficients())
     for x in range(p):
         for y in range(p):
             f = (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % p
-            if f:
-                continue
-            fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
-            fy = (2 * y + a1 * x + a3) % p
-            if fx == 0 and fy == 0:
+            if f == 0 and partials_vanish(a, x, y, p):
                 return x, y
     raise InternalError("reduced curve has positive v(delta) but no singular point")
 

@@ -378,3 +378,22 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         fresh.append(run(argv))
     assert shared == fresh
     assert [code for code, _ in shared] == [0, 2, 0, 0, 2]
+
+
+def test_negative_curve_and_point_values_may_be_separate_tokens(capsys):
+    # a value after --point or --curve that starts with '-' is that option's
+    # value, as in the one-token --point=-3,9 form
+    def run(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    tail = ("--prime", "3", "--n-max", "4")
+    joined = run("kval", "--curve", "0,3,0,81,324", "--point=-3,9", *tail)
+    assert joined[0] == 0 and joined[1]
+    assert run("kval", "--curve", "0,3,0,81,324", "--point", "-3,9", *tail) == joined
+    moved = ("--curve", "-1,1,-1,1,-1", "--prime", "5")
+    assert run("profile", *moved) == run("profile", "--curve=-1,1,-1,1,-1", "--prime", "5")
+    assert run("profile", *moved)[0] == 0

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from math import gcd
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gcval.curve_core import (
     INFINITY_POINT,
+    WALK_POINTS,
     CoordinateChange,
     Point,
     WeierstrassModel,
@@ -196,9 +197,19 @@ def test_group_law_small_multiples_37a():
 
 
 def test_torsion_guard():
-    with pytest.raises(TorsionPointError):
-        assert_infinite_order(E_MORDELL, Point(2, 3))  # 6-torsion
-    assert_infinite_order(E37, Point(0, 0))
+    # the walk is the one torsion check: it yields [1]P..[5]P of the 6-torsion
+    # point, raises at [6]P = O, and raises on O before yielding anything
+    walk = multiples(E_MORDELL, Point(2, 3))
+    assert [q.x for q in islice(walk, 5)] == [2, 0, -1, 0, 2]
+    with pytest.raises(TorsionPointError, match=r"^\[6\]\(2,3\) = O: torsion point$"):
+        next(walk)
+    with pytest.raises(TorsionPointError, match="^the point at infinity is torsion$"):
+        next(multiples(E_MORDELL, Point()))
+    assert len(list(islice(multiples(E37, Point(0, 0)), WALK_POINTS))) == WALK_POINTS
+    # assert_infinite_order walks the same generator
+    with pytest.raises(TorsionPointError, match=r"^\[6\]\(2,3\) = O"):
+        assert_infinite_order(E_MORDELL, Point(2, 3))
+    assert assert_infinite_order(E37, Point(0, 0)) == Point(0, 0)
 
 
 def test_integralize_at():
@@ -244,7 +255,13 @@ def check_law(model, point, n, i, j):
         acc = law.add(acc, q)
         assert law.point(acc) == wanted
         assert acc is None or (acc[2] > 0 and gcd(acc[0], acc[2]) == 1)
-    assert list(islice(multiples(model, point), _LAW_N)) == want
+    # the walk yields the multiples up to the first O and raises there
+    affine = list(takewhile(lambda q: not q.is_infinity, want))
+    walk = multiples(model, point)
+    assert list(islice(walk, len(affine))) == affine
+    if len(affine) < _LAW_N:
+        with pytest.raises(TorsionPointError):
+            next(walk)
     assert mul(model, n, point) == want[n - 1]
     assert mul(model, -n, point) == neg(model, want[n - 1])
     assert add(model, want[i - 1], want[j - 1]) == want[i + j - 1]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gcval.cli import N_MAX_GUARDRAIL
-from gcval.curve_core import Point, WeierstrassModel, assert_infinite_order, mul
+from gcval.curve_core import Point, WeierstrassModel, mul, multiples
 from gcval.divpoly import division_table, psi_sequence
 from gcval.engine import (
     ROW_I2MSTAR_C4,
@@ -35,9 +35,10 @@ def profile_of(a, pt, p):
 def test_k_direct_guard_and_raw_value():
     model = WeierstrassModel(0, 0, 0, 0, 1)
     torsion = Point(2, 3)
-    # the torsion guard is the caller's (compute_profile, or kval --mode direct)
+    # the torsion guard is the walk's (compute_profile's, or kval --mode
+    # direct's), not the oracle's
     with pytest.raises(TorsionPointError):
-        assert_infinite_order(model, torsion)
+        list(multiples(model, torsion))
     # the oracle itself takes the raw values:
     # min(v(phi_2), v(psi_2^2)) = min(inf, 2) = 2
     assert k_direct_range(division_table(model, torsion, 2, 2), 2)[1] == (2, 2, INFINITY, 2)
