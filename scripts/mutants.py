@@ -7,8 +7,9 @@ that is wrong only somewhere: off by one past some n, at one n, or with a
 modulus that is not the row's.  A test suite that checks the closed form at
 every n the command line accepts fails on each of them.  Further edits
 change one decision of ``profile.compute_profile`` (n_P, a_P, [2]P's
-singularity) or of ``tate.run_tate`` (split, c_v of IV and I_m*, the
-step-6 cubic's triple root), which the closed form reads.
+singularity) or of ``tate.run_tate`` (split, c_v of non-split I_m, IV,
+I0*, IV*, III* and I_m*, the step-6 cubic's triple root), which the
+closed form reads.
 
 The script copies the checkout (``src/``, ``tests/``, ``scripts/``,
 ``perfbench/`` and ``pyproject.toml``) to a temporary directory, runs Tier-1
@@ -17,7 +18,7 @@ prints ``killed``, ``survived`` or ``absent`` (the edited text does not
 occur exactly once in this tree) per edit, and exits 0 only when every edit was applied and
 killed.  It adds no test and is not part of Tier-1.  Tier-1 runs with -x,
 so a killed edit stops at its first failing test; one run of the script
-took under a minute on a 2-vCPU VM with every edit killed, and each
+took 101 s on a 2-vCPU VM with all 25 edits killed, and each
 surviving edit adds a full Tier-1 run.
 
 Run from the repository root:  python scripts/mutants.py
@@ -74,13 +75,21 @@ EDITS = (
     ("compute_profile two_p_singular, >= for >", _PROFILE,
      "two_p_singular = m_p > 2", "two_p_singular = m_p >= 2"),
     ("compute_profile split a_P, max for min", _PROFILE,
-     "a_p = min(int(vpsi2), m // 2)", "a_p = max(int(vpsi2), m // 2)"),
+     "a_p = min(vpsi2, m // 2)", "a_p = max(vpsi2, m // 2)"),
     ("compute_profile n_P, first v(x) <= 0 for < 0", _PROFILE,
      "if v_walk[-1] < 0:", "if v_walk[-1] <= 0:"),
     # not ">= 1": at a node the tangent quadratic's discriminant b2 is a unit,
     # so it has 0 or 2 roots in F_p, and that edit changes nothing
     ("run_tate split I_m, != 2 tangent roots for == 2", _TATE,
      "split = len(tangent_roots) == 2", "split = len(tangent_roots) != 2"),
+    ("run_tate non-split I_m, c_v 2 and 1 swapped", _TATE,
+     "(2 if mm % 2 == 0 else 1)", "(1 if mm % 2 == 0 else 2)"),
+    ("run_tate I0*, c_v 2 + info for 1 + info", _TATE,
+     "KodairaType(\"I*\", 0), 1 + info", "KodairaType(\"I*\", 0), 2 + info"),
+    ("run_tate IV*, c_v 3 and 1 swapped", _TATE,
+     "KodairaType(\"IV*\"), 3 if roots else 1", "KodairaType(\"IV*\"), 1 if roots else 3"),
+    ("run_tate III*, c_v 1 for 2", _TATE,
+     "KodairaType(\"III*\"), 2", "KodairaType(\"III*\"), 1"),
     ("run_tate IV, c_v 3 and 1 swapped", _TATE,
      "KodairaType(\"IV\"), 3 if len(y_roots) == 2 else 1",
      "KodairaType(\"IV\"), 1 if len(y_roots) == 2 else 3"),

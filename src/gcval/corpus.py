@@ -324,19 +324,15 @@ def _prediction_checks(report: EntryReport, prof, rows, params) -> None:
 def _check_expect(report: EntryReport, entry: CorpusEntry, prof, row) -> None:
     if not entry.expect:
         return
-    tate = prof.tate
+    got = {"kodaira": prof.tate.kodaira, "cv": prof.tate.cv, "mP": prof.m_p, "row": row}
     diffs = []
-    exp = entry.expect
-    if "kodaira" in exp:
-        want = str(KodairaType.parse(exp["kodaira"]))
-        if want != str(tate.kodaira):
-            diffs.append(f"kodaira {tate.kodaira} != {want}")
-    if "cv" in exp and exp["cv"] != tate.cv:
-        diffs.append(f"cv {tate.cv} != {exp['cv']}")
-    if "mP" in exp and exp["mP"] != prof.m_p:
-        diffs.append(f"mP {prof.m_p} != {exp['mP']}")
-    if "row" in exp and exp["row"] != row:
-        diffs.append(f"row {row} != {exp['row']}")
+    for key in _EXPECT_KEYS:
+        if key in entry.expect:
+            want = entry.expect[key]
+            if key == "kodaira":
+                want = KodairaType.parse(want)
+            if want != got[key]:
+                diffs.append(f"{key} {got[key]} != {want}")
     if diffs:
         report.expect_ok = False
         report.check_failures.extend("expect: " + d for d in diffs)

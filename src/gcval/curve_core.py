@@ -4,11 +4,11 @@ Everything is done on the full five-coefficient form y^2 + a1*x*y + a3*y =
 x^3 + a2*x^2 + a4*x + a6, never on a completed square, so that p = 2 and
 p = 3 ride the same code path as every other prime.
 
-Every value follows one rule (``as_rational``): a rational that is an
-integer is an ``int``, and any other is a reduced ``Fraction``.  The
-constructors of ``WeierstrassModel`` (with its invariants), ``Point`` and
-``CoordinateChange`` apply it, so integral models, points and changes
-compute on ints throughout.  The one rational division is ``_div``, which
+Every value follows one rule, stated once by ``exact_numbers.as_rational``:
+a rational that is an integer is an ``int``, and any other is a reduced
+``Fraction``.  The constructors of ``WeierstrassModel`` (with its
+invariants), ``Point`` and ``CoordinateChange`` apply it, so integral
+models, points and changes compute on ints throughout.  The one rational division is ``_div``, which
 ``apply_change`` and ``map_point`` use: it returns its dividend when the
 divisor is 1 and divides as a Fraction otherwise, so an int ``/`` never
 makes a float.
@@ -21,8 +21,8 @@ reads y3 off the line at the reduced size.  ``add``, ``mul`` and
 ``multiples`` all take that step, and each builds a ``Point`` only for what
 it returns or yields.  A point is checked
 on the curve once, where it enters a public entry point (``add``, ``mul``,
-``neg``, ``multiples`` when its walk starts); the points the law derives
-are not checked again.
+``multiples`` when its walk starts); the points the law derives are not
+checked again.
 
 Two facts about a point have their one owner here: its integer form
 (``integral_form``, which the division-polynomial oracle reads), and
@@ -37,18 +37,7 @@ from itertools import count, islice
 from math import gcd, isqrt, lcm
 
 from .errors import InputError, SingularCurveError, TorsionPointError
-from .exact_numbers import Rational, check_prime, format_rational, parse_rational, val
-
-
-def as_rational(x) -> Rational:
-    """x as an int when it is an integer, else as a reduced Fraction."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if isinstance(x, str):
-        x = parse_rational(x)
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    raise InputError(f"cannot interpret {x!r} as a rational")
+from .exact_numbers import Rational, as_rational, check_prime, format_rational, val
 
 
 def _div(a: Rational, b: Rational) -> Rational:
@@ -206,18 +195,6 @@ def require_on_curve(model: WeierstrassModel, point: Point) -> Point:
     return point
 
 
-def neg(model: WeierstrassModel, point: Point) -> Point:
-    require_on_curve(model, point)
-    return _neg(model, point)
-
-
-def _neg(model: WeierstrassModel, point: Point) -> Point:
-    """-(x, y) = (x, -y - a1 x - a3)."""
-    if point.is_infinity:
-        return INFINITY_POINT
-    return Point(point.x, -point.y - model.a1 * point.x - model.a3)
-
-
 class _IntegralLaw:
     """The group law on the integral model A_i = u^i a_i, on integers.
 
@@ -315,13 +292,13 @@ def add(model: WeierstrassModel, p1: Point, p2: Point) -> Point:
 
 
 def mul(model: WeierstrassModel, n: int, point: Point) -> Point:
-    """[n]P by double-and-add; [0]P = O and [-n]P = -[n]P."""
+    """[n]P for n >= 0 by double-and-add; [0]P = O."""
     require_on_curve(model, point)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"multiplier must be an integer, got {n!r}")
+    # a negative n would never end the double-and-add: -1 >> 1 == -1
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InputError(f"multiplier must be a non-negative integer, got {n!r}")
     law = _IntegralLaw(model)
-    q = law.point(law.mul(abs(n), law.triple(point)))
-    return _neg(model, q) if n < 0 else q
+    return law.point(law.mul(n, law.triple(point)))
 
 
 def integral_form(model: WeierstrassModel, point: Point):

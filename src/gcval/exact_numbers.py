@@ -3,11 +3,13 @@
 All field arithmetic in this package happens in Q, on one rule: a rational
 that is an integer is a Python ``int``, and any other is a
 fractions.Fraction, which keeps lowest terms and a positive denominator.
-``Rational`` names that pair.  So integral models, points and coordinate
-changes, the common case at p, never build a Fraction or take a gcd.
-A ``float`` is never a rational here: it is what an int ``/`` int makes,
-and ``val`` and ``format_rational`` raise ``InternalError`` on one.  This
-module adds the p-adic valuation (with a distinguished infinity for the
+``Rational`` names that pair, and ``as_rational`` is the one statement of
+that rule: the constructors in ``curve_core``, ``val`` and
+``format_rational`` all coerce through it.  So integral models, points and
+coordinate changes, the common case at p, never build a Fraction or take a
+gcd.  A ``float`` is never a rational here: it is what an int ``/`` int
+makes, and ``as_rational`` raises ``InternalError`` on one.  This module
+adds the p-adic valuation (with a distinguished infinity for the
 valuation of 0), the residue of a p-integral rational modulo p, and the
 string forms used in corpus files and CLI output.
 
@@ -39,6 +41,25 @@ Rational = int | Fraction
 INFINITY = float("inf")
 
 Valuation = Union[int, float]
+
+
+def as_rational(x) -> Rational:
+    """x as an int when it is an integer, else as a reduced Fraction.
+
+    A string is parsed by parse_rational.  A float is the trace of an
+    int / int division and raises InternalError; any other value raises
+    InputError.
+    """
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        x = parse_rational(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, float):
+        raise InternalError(f"float {x!r} where an exact rational is required")
+    raise InputError(f"cannot interpret {x!r} as a rational")
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -114,23 +135,13 @@ def val(q, p: int) -> Valuation:
     valuations differ.
     """
     check_prime(p)
-    q = _exact(q)
+    q = as_rational(q)
     if q == 0:
         return INFINITY
     v = p_split(q.numerator, p)[0]
     if v or q.denominator == 1:
         return v  # q is in lowest terms, so p cannot also divide den
     return -p_split(q.denominator, p)[0]
-
-
-def _exact(q) -> Rational:
-    """q itself for an int or a Fraction, else Fraction(q); a float is the
-    trace of an int / int division and raises InternalError."""
-    if isinstance(q, (int, Fraction)):
-        return q
-    if isinstance(q, float):
-        raise InternalError(f"float {q!r} where an exact rational is required")
-    return Fraction(q)
 
 
 def residue(q: Rational, p: int, k: int = 0) -> int:
@@ -176,7 +187,7 @@ def format_rational(q) -> str:
     print in full up to the n_max guardrail.  The limit still bounds what
     parse_rational reads.
     """
-    q = _exact(q)
+    q = as_rational(q)
     num = str(Decimal(q.numerator))
     if q.denominator == 1:
         return num

@@ -37,7 +37,7 @@ from .curve_core import (
 )
 from .divpoly import phi2_x, psi2_squared_x, psi2_value, psi3_value
 from .errors import InternalError
-from .exact_numbers import INFINITY, Valuation, residue, val
+from .exact_numbers import Valuation, residue, val
 from .tate import TateResult, partials_vanish
 
 
@@ -126,9 +126,10 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     if singular and tate.reduction == "multiplicative":
         m = tate.v_delta
         if tate.split:
-            vpsi2 = val(psi2_value(minimal, pt), p)
-            a_p = min(int(vpsi2), m // 2) if vpsi2 != INFINITY else m // 2
-            if m % 2 == 1 and vpsi2 != INFINITY and int(vpsi2) > m // 2:
+            # finite: psi_2(P) = 0 only at a 2-torsion P, where the walk raised
+            vpsi2 = int(val(psi2_value(minimal, pt), p))
+            a_p = min(vpsi2, m // 2)
+            if m % 2 == 1 and vpsi2 > m // 2:
                 raise InternalError("component index above (m-1)/2 for odd m")
         else:
             if m % 2:

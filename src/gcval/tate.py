@@ -90,6 +90,11 @@ def _roots_mod_p(coeffs, p):
     return [x for x in range(p) if _poly_value(coeffs, x, p) == 0]
 
 
+def _y_roots(model: WeierstrassModel, p: int, k: int):
+    """Roots in F_p of the Y-quadratic Y^2 + (a3/p^k) Y - a6/p^(2k)."""
+    return _roots_mod_p([(-residue(model.a6, p, 2 * k)) % p, residue(model.a3, p, k), 1], p)
+
+
 def _cubic_analysis(A, B, C, p):
     """For T^3 + A T^2 + B T + C mod p: ('separable', n_rational_roots) or
     ('double'|'triple', repeated_root).
@@ -181,7 +186,7 @@ def _tate_pass(model: WeierstrassModel, p: int):
     if st.v(m.b8) < 3:
         return KodairaType("III"), 2, None, st
     # Step 5: type IV, read off the Y-quadratic Y^2 + (a3/p) Y - a6/p^2.
-    y_roots = _roots_mod_p([(-residue(m.a6, p, 2)) % p, residue(m.a3, p, 1), 1], p)
+    y_roots = _y_roots(m, p, 1)
     if st.v(m.b6) < 3:
         return KodairaType("IV"), 3 if len(y_roots) == 2 else 1, None, st
 
@@ -222,9 +227,7 @@ def _tate_pass(model: WeierstrassModel, p: int):
     if st.v(m.a2) < 2 or st.v(m.a4) < 3 or st.v(m.a6) < 4:
         raise InternalError("triple-root translation failed")
     # Step 8: type IV*.
-    a3_2 = residue(st.model.a3, p, 2)
-    a6_4 = residue(st.model.a6, p, 4)
-    roots = _roots_mod_p([(-a6_4) % p, a3_2, 1], p)
+    roots = _y_roots(st.model, p, 2)
     if len(roots) != 1:
         return KodairaType("IV*"), 3 if roots else 1, None, st
     (y2,) = roots
@@ -254,11 +257,8 @@ def _istar_subloop(st: _PassState, v_delta: int):
     while n <= v_delta:
         model = st.model
         if n % 2:
-            k = (n + 3) // 2
-            # quadratic Y^2 + (a3/p^k) Y - a6/p^(n+3)
-            bb = residue(model.a3, p, k)
-            cc = (-residue(model.a6, p, n + 3)) % p
-            roots = _roots_mod_p([cc, bb, 1], p)
+            k = (n + 3) // 2  # n is odd, so n + 3 = 2k
+            roots = _y_roots(model, p, k)
             if len(roots) != 1:
                 return KodairaType("I*", n), 4 if roots else 2, None, st
             (root,) = roots

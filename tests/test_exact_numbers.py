@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gcval.curve_core import CoordinateChange, Point, WeierstrassModel
 from gcval.errors import InputError, InternalError, NonPrimeError
 from gcval.exact_numbers import (
     INFINITY,
+    as_rational,
     format_rational,
     is_prime,
     parse_rational,
@@ -141,6 +143,22 @@ def test_val_refuses_a_float():
 def test_format_rational_refuses_a_float():
     with pytest.raises(InternalError, match="float"):
         format_rational(6 / 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda f: WeierstrassModel(0, 0, 1, f, 0),
+    lambda f: Point(f, 0),
+    lambda f: CoordinateChange(f),
+], ids=["WeierstrassModel", "Point", "CoordinateChange"])
+def test_constructors_refuse_a_float(build):
+    # the constructors coerce through as_rational, the rule val applies
+    with pytest.raises(InternalError, match="float"):
+        build(6 / 2)
+
+
+def test_integral_fraction_becomes_an_int():
+    assert type(as_rational(Fraction(8, 4))) is int
+    assert type(Point(Fraction(8, 4), Fraction(-3, 1)).y) is int
 
 
 def test_residue_reads_the_shifted_numerator():
