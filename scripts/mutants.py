@@ -9,7 +9,8 @@ every n the command line accepts fails on each of them.  Further edits
 change one decision of ``profile.compute_profile`` (n_P, a_P, [2]P's
 singularity) or of ``tate.run_tate`` (split, c_v of non-split I_m, IV,
 I0*, IV*, III* and I_m*, the step-6 cubic's triple root), which the
-closed form reads.
+closed form reads, and two edits of ``curve_core``: the walk's torsion
+check at [6]P = O, and the tangent step's test for a 2-torsion point.
 
 The script copies the checkout (``src/``, ``tests/``, ``scripts/``,
 ``perfbench/`` and ``pyproject.toml``) to a temporary directory, runs Tier-1
@@ -18,7 +19,7 @@ prints ``killed``, ``survived`` or ``absent`` (the edited text does not
 occur exactly once in this tree) per edit, and exits 0 only when every edit was applied and
 killed.  It adds no test and is not part of Tier-1.  Tier-1 runs with -x,
 so a killed edit stops at its first failing test; one run of the script
-took 101 s on a 2-vCPU VM with all 25 edits killed, and each
+took 98 s on a 2-vCPU VM with all 27 edits killed, and each
 surviving edit adds a full Tier-1 run.
 
 Run from the repository root:  python scripts/mutants.py
@@ -46,6 +47,7 @@ _CV3 = "return _exact_int(v * n * n, 3)"
 _CV4_N2 = "return _exact_int(v * n * n, 4) - 1"
 _PROFILE = "src/gcval/profile.py"
 _TATE = "src/gcval/tate.py"
+_CORE = "src/gcval/curve_core.py"
 _ISTAR_RETURN = 'return KodairaType("I*", n), 4 if roots else 2, None, st\n'
 _ISTAR_ODD = _ISTAR_RETURN + "            (root,) = roots\n            if root:\n" \
     "                st.translate(t="
@@ -99,6 +101,10 @@ EDITS = (
      _ISTAR_EVEN.replace("4 if roots else 2", "2 if roots else 4")),
     ("run_tate step 6, triple-root test negated", _TATE,
      "\"triple\" if (A + 3 * alpha) % p == 0", "\"triple\" if (A + 3 * alpha) % p != 0"),
+    ("multiples, no raise at [6]P = O", _CORE,
+     "        if acc is None:\n", "        if acc is None and n != 6:\n"),
+    ("group law tangent step, 2-torsion test dropped", _CORE,
+     "if y1 != y2 or d == 0:", "if y1 != y2:"),
 )
 
 

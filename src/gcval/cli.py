@@ -14,6 +14,10 @@ exception the entry raised.  ``--n-max`` above
 N_MAX_GUARDRAIL and a ``formal-group`` order (default p^2+1) above
 ORDER_GUARDRAIL exit 2.
 
+``--point`` takes an affine point x,y only.  The point at infinity O has
+no k_n and is not a Point (the group law writes it as None), so ``--point
+O``, like an empty ``--point``, exits 2 on every command that takes one.
+
 ``seq --sn B E H S W P N`` takes B = 1 or a positive multiple of P,
 E >= 1, H >= 0, S >= 1, W >= 0 (H = W = 0 when B = 1) and N >= 1, else
 exit 2; a non-prime P exits 3.
@@ -90,11 +94,9 @@ def _parse_curve(text: str) -> WeierstrassModel:
 
 def _parse_point(text: str) -> Point:
     text = text.strip()
-    if text == "O":
-        return Point()
     parts = text.split(",")
     if len(parts) != 2:
-        raise InputError(f"--point needs x,y or O, got {text!r}")
+        raise InputError(f"--point needs x,y, got {text!r}")
     return Point(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
@@ -104,7 +106,7 @@ def _emit(obj) -> None:
 
 def cmd_profile(args) -> int:
     model = _parse_curve(args.curve)
-    point = _parse_point(args.point) if args.point else None
+    point = None if args.point is None else _parse_point(args.point)
     model, point = integralize_point_at(model, point, args.prime)
     tate = run_tate(model, args.prime)
     out = {
@@ -118,7 +120,7 @@ def cmd_profile(args) -> int:
         "minimalModel": list(tate.minimal_model.to_strings()),
         "normalizedModel": list(tate.normalized_model.to_strings()),
     }
-    if point is not None and not point.is_infinity:
+    if point is not None:
         try:
             prof = compute_profile(tate, point)
         except TorsionPointError:
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="a1,a2,a3,a4,a6 as rational strings")
         if point_required is not None:
             p.add_argument("--point", required=point_required,
-                           help="x,y as rational strings (or O)")
+                           help="x,y as rational strings")
         p.add_argument("--prime", type=int, required=True)
         if with_nmax:
             p.add_argument("--n-max", type=int, default=40, dest="n_max")

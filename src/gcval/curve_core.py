@@ -19,7 +19,9 @@ denominators, the model becomes integral, and every rational point on it is
 numerator over M^2, M the slope's denominator, reduces it by one gcd, and
 reads y3 off the line at the reduced size.  ``add``, ``mul`` and
 ``multiples`` all take that step, and each builds a ``Point`` only for what
-it returns or yields.  A point is checked
+it returns or yields.  A ``Point`` is affine: the point at infinity O is
+``None``, inside the law and where ``add`` and ``mul`` return it, and no
+entry point takes it.  A point is checked
 on the curve once, where it enters a public entry point (``add``, ``mul``,
 ``multiples`` when its walk starts); the points the law derives are not
 checked again.
@@ -140,35 +142,22 @@ def apply_change(model: WeierstrassModel, change: CoordinateChange) -> Weierstra
 
 @dataclass(frozen=True)
 class Point:
-    """An affine point, or the point at infinity (both coordinates None)."""
+    """An affine point.  The point at infinity O is not a Point: the group
+    law returns None for it."""
 
-    x: Rational | None = None
-    y: Rational | None = None
+    x: Rational
+    y: Rational
 
     def __post_init__(self):
-        if (self.x is None) != (self.y is None):
-            raise InputError("point needs both coordinates, or neither")
-        if self.x is not None:
-            object.__setattr__(self, "x", as_rational(self.x))
-            object.__setattr__(self, "y", as_rational(self.y))
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
+        object.__setattr__(self, "x", as_rational(self.x))
+        object.__setattr__(self, "y", as_rational(self.y))
 
     def __str__(self):
-        if self.is_infinity:
-            return "O"
         return f"({self.x},{self.y})"
-
-
-INFINITY_POINT = Point()
 
 
 def map_point(change: CoordinateChange, point: Point) -> Point:
     """Image of a point under the change (same direction as apply_change)."""
-    if point.is_infinity:
-        return INFINITY_POINT
     u, r, s, t = change.u, change.r, change.s, change.t
     nx = _div(point.x - r, u ** 2)
     ny = _div(point.y - s * (point.x - r) - t, u ** 3)
@@ -178,14 +167,10 @@ def map_point(change: CoordinateChange, point: Point) -> Point:
 def equation_value(model: WeierstrassModel, x, y) -> Rational:
     """f(x, y) = y^2 + a1 x y + a3 y - x^3 - a2 x^2 - a4 x - a6."""
     a1, a2, a3, a4, a6 = model.coefficients()
-    x = as_rational(x)
-    y = as_rational(y)
     return y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6
 
 
 def on_curve(model: WeierstrassModel, point: Point) -> bool:
-    if point.is_infinity:
-        return True
     return equation_value(model, point.x, point.y) == 0
 
 
@@ -213,15 +198,14 @@ class _IntegralLaw:
 
     def triple(self, point: Point):
         """(X, Y, e) of a point on the curve."""
-        if point.is_infinity:
-            return None
         x = point.x * (self.u * self.u)
         e = isqrt(x.denominator)
         return x.numerator, (point.y * (self.u * e) ** 3).numerator, e
 
-    def point(self, q) -> Point:
+    def point(self, q) -> Point | None:
+        """The Point of a triple, and None for O."""
         if q is None:
-            return INFINITY_POINT
+            return None
         x, y, e = q
         d = self.u * e
         if d == 1:
@@ -284,15 +268,16 @@ class _IntegralLaw:
         return result
 
 
-def add(model: WeierstrassModel, p1: Point, p2: Point) -> Point:
+def add(model: WeierstrassModel, p1: Point, p2: Point) -> Point | None:
+    """P1 + P2, or None when it is O."""
     require_on_curve(model, p1)
     require_on_curve(model, p2)
     law = _IntegralLaw(model)
     return law.point(law.add(law.triple(p1), law.triple(p2)))
 
 
-def mul(model: WeierstrassModel, n: int, point: Point) -> Point:
-    """[n]P for n >= 0 by double-and-add; [0]P = O."""
+def mul(model: WeierstrassModel, n: int, point: Point) -> Point | None:
+    """[n]P for n >= 0 by double-and-add, or None when it is O (as [0]P is)."""
     require_on_curve(model, point)
     # a negative n would never end the double-and-add: -1 >> 1 == -1
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -321,8 +306,6 @@ def multiples(model: WeierstrassModel, point: Point):
     triples and builds one Point per yield."""
     law = _IntegralLaw(model)
     require_on_curve(model, point)
-    if point.is_infinity:
-        raise TorsionPointError("the point at infinity is torsion")
     acc = q = law.triple(point)
     for n in count(2):
         yield law.point(acc)

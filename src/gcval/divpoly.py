@@ -163,8 +163,6 @@ def division_table(model: WeierstrassModel, point: Point, p: int,
         raise InputError(f"n_max must be >= 1, got {n_max}")
     check_prime(p)
     require_on_curve(model, point)
-    if point.is_infinity:
-        raise InputError("division polynomial values need an affine point")
     x = point.x
     psi2 = psi2_value(model, point)
     if psi2 == 0:

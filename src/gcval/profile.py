@@ -68,7 +68,7 @@ def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     to the identity and is never singular.
     """
     require_on_curve(model, point)
-    return not point.is_infinity and _reduces_singular(model, point, p)
+    return _reduces_singular(model, point, p)
 
 
 def _reduces_singular(model: WeierstrassModel, point: Point, p: int) -> bool:

@@ -204,6 +204,14 @@ def test_exit_2_on_malformed_input(tmp_path, capsys):
     assert err.startswith("error: line 1: unknown expect key") and err.count("\n") == 1
     assert main(["kval", "--curve", "0,0,0,0,1", "--point", "1,1",
                  "--prime", "5", "--n-max", "3"]) == 2  # off-curve
+    # O has no k_n and is not a Point, and an empty --point is no point
+    for command, point in (("profile", "O"), ("kval", "O"), ("psi", "O"),
+                           ("profile", "")):
+        capsys.readouterr()
+        assert main([command, "--curve", "0,0,1,-1,0", "--prime", "2",
+                     "--point", point]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --point needs x,y") and err.count("\n") == 1
     for order in ("0", "-1"):
         assert main(["formal-group", "--curve", "0,0,1,-1,0", "--prime", "2",
                      "--order", order]) == 2

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcval.curve_core import (
-    INFINITY_POINT,
     WALK_POINTS,
     CoordinateChange,
     Point,
@@ -32,18 +31,18 @@ E37 = WeierstrassModel(0, 0, 1, -1, 0)        # rank 1, generator (0, 0)
 
 
 def reference_add(model, p1, p2):
-    """P1 + P2 by the chord-and-tangent formulas on Fractions: the reference
-    for the integer group law that curve_core runs."""
-    if p1.is_infinity:
+    """P1 + P2 by the chord-and-tangent formulas on Fractions, with O as
+    None: the reference for the integer group law that curve_core runs."""
+    if p1 is None:
         return p2
-    if p2.is_infinity:
+    if p2 is None:
         return p1
     a1, a2, a3, a4, a6 = map(Fraction, model.coefficients())
     x1, y1 = Fraction(p1.x), Fraction(p1.y)
     x2, y2 = Fraction(p2.x), Fraction(p2.y)
     if x1 == x2:
         if y2 == -y1 - a1 * x1 - a3:
-            return INFINITY_POINT
+            return None
         # p1 == p2 and not 2-torsion: tangent line
         den = 2 * y1 + a1 * x1 + a3
         lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
@@ -155,9 +154,7 @@ def test_doubling_hand_value():
 def test_mul_basics():
     p = Point(2, 3)
     assert mul(E_MORDELL, 1, p) == p
-    assert mul(E_MORDELL, 0, p).is_infinity
-    for n in (0, 1, 5):
-        assert mul(E_MORDELL, n, Point()).is_infinity
+    assert mul(E_MORDELL, 0, p) is None
     with pytest.raises(InputError, match="non-negative"):
         mul(E_MORDELL, -1, p)
 
@@ -166,7 +163,7 @@ def test_negation_formula():
     p = Point(0, 0)
     q = Point(p.x, -p.y - E37.a1 * p.x - E37.a3)  # -(x, y) = (x, -y - a1 x - a3)
     assert q == Point(0, -1)
-    assert add(E37, p, q).is_infinity
+    assert add(E37, p, q) is None
 
 
 @pytest.mark.parametrize("call", [
@@ -199,13 +196,11 @@ def test_group_law_small_multiples_37a():
 
 def test_torsion_guard():
     # the walk is the one torsion check: it yields [1]P..[5]P of the 6-torsion
-    # point, raises at [6]P = O, and raises on O before yielding anything
+    # point and raises at [6]P = O
     walk = multiples(E_MORDELL, Point(2, 3))
     assert [q.x for q in islice(walk, 5)] == [2, 0, -1, 0, 2]
     with pytest.raises(TorsionPointError, match=r"^\[6\]\(2,3\) = O: torsion point$"):
         next(walk)
-    with pytest.raises(TorsionPointError, match="^the point at infinity is torsion$"):
-        next(multiples(E_MORDELL, Point()))
     assert len(list(islice(multiples(E37, Point(0, 0)), WALK_POINTS))) == WALK_POINTS
     # assert_infinite_order walks the same generator
     with pytest.raises(TorsionPointError, match=r"^\[6\]\(2,3\) = O"):
@@ -220,6 +215,12 @@ def test_integralize_at():
     assert change.u == Fraction(1, 5)
     again, change2 = integralize_at(fixed, 5)
     assert again == fixed and change2.is_identity()
+
+
+def test_o_is_not_a_point():
+    # O is None in the group law; a Point is affine and needs x and y
+    with pytest.raises(TypeError):
+        Point()
 
 
 def test_on_curve_example():
@@ -257,17 +258,23 @@ def check_law(model, point, n, i, j):
         assert law.point(acc) == wanted
         assert acc is None or (acc[2] > 0 and gcd(acc[0], acc[2]) == 1)
     # the walk yields the multiples up to the first O and raises there
-    affine = list(takewhile(lambda q: not q.is_infinity, want))
+    affine = list(takewhile(lambda q: q is not None, want))
     walk = multiples(model, point)
     assert list(islice(walk, len(affine))) == affine
     if len(affine) < _LAW_N:
         with pytest.raises(TorsionPointError):
             next(walk)
     assert mul(model, n, point) == want[n - 1]
-    assert add(model, want[i - 1], want[j - 1]) == want[i + j - 1]
+    # add takes affine points only, so a sum with O as a term goes to the law
+    pi, pj = want[i - 1], want[j - 1]
+    if pi is None or pj is None:
+        qi, qj = (None if w is None else law.triple(w) for w in (pi, pj))
+        assert law.point(law.add(qi, qj)) == want[i + j - 1]
+    else:
+        assert add(model, pi, pj) == want[i + j - 1]
     assert add(model, point, point) == reference_add(model, point, point)
     minus = Point(point.x, -point.y - model.a1 * point.x - model.a3)
-    assert add(model, point, minus).is_infinity
+    assert add(model, point, minus) is None
 
 
 def test_group_law_matches_the_fraction_reference(law_cases):

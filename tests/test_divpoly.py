@@ -79,8 +79,6 @@ def test_bad_inputs():
     with pytest.raises(InputError):
         psi_sequence(E37, P37, 2, 0)
     with pytest.raises(InputError):
-        psi_sequence(E37, Point(), 2, 3)
-    with pytest.raises(InputError):
         psi_sequence(E37, Point(1, 1), 2, 3)
     with pytest.raises(NonPrimeError):
         psi_sequence(E37, P37, 4, 3)
@@ -90,7 +88,7 @@ def test_x_of_multiple_identity_37a():
     seq = psi_sequence(E37, P37, 2, 20)
     for n in range(1, 21):
         q = mul(E37, n, P37)
-        assert not q.is_infinity
+        assert q is not None
         assert q.x * seq.psi(n) ** 2 == seq.phi(n)
 
 

@@ -184,7 +184,7 @@ def test_predictions_match_actual_valuations(corpus_profiles):
 
 
 def _xy_valuation(q, p):
-    return INFINITY if q.is_infinity or q.x == 0 else val(q.x, p) - val(q.y, p)
+    return INFINITY if q is None or q.x == 0 else val(q.x, p) - val(q.y, p)
 
 
 def test_qp_staircase_matches_the_general_formulas(corpus_profiles):

@@ -121,7 +121,7 @@ def _predict_phi_val_by_mul(profile, n):
     if n % profile.n_p == 0:
         return 0 if profile.v_x >= 0 else int(profile.v_x) * n * n
     q = mul(profile.tate.minimal_model, n, profile.point)
-    if not q.is_infinity and val(q.x, profile.tate.p) == 0:
+    if q is not None and val(q.x, profile.tate.p) == 0:
         return 0 if profile.v_x >= 0 else int(profile.v_x) * n * n
     return None
 
@@ -228,7 +228,7 @@ def _rationals(obj):
         return (*obj.coefficients(), obj.b2, obj.b4, obj.b6, obj.b8,
                 obj.c4, obj.c6, obj.delta)
     if isinstance(obj, Point):
-        return () if obj.is_infinity else (obj.x, obj.y)
+        return (obj.x, obj.y)
     if isinstance(obj, CoordinateChange):
         return (obj.u, obj.r, obj.s, obj.t)
     return ()
