@@ -7,10 +7,12 @@ that is wrong only somewhere: off by one past some n, at one n, or with a
 modulus that is not the row's.  A test suite that checks the closed form at
 every n the command line accepts fails on each of them.  Further edits
 change one decision of ``profile.compute_profile`` (n_P, a_P, [2]P's
-singularity) or of ``tate.run_tate`` (split, c_v of non-split I_m, IV,
-I0*, IV*, III* and I_m*, the step-6 cubic's triple root), which the
-closed form reads, and two edits of ``curve_core``: the walk's torsion
-check at [6]P = O, and the tangent step's test for a 2-torsion point.
+singularity, the walk's end at p = 2) or of ``tate.run_tate`` (split, c_v
+of non-split I_m, IV, I0*, IV*, III* and I_m*, the step-6 cubic's triple
+root), which the closed form reads; two edit ``curve_core``: the walk's
+torsion check at [6]P = O, and the tangent step's test for a 2-torsion
+point; and one makes ``corpus.EntryReport.exit_code`` report a crashed
+entry with a mismatch as a mismatch (exit 1, not 4).
 
 The script copies the checkout (``src/``, ``tests/``, ``scripts/``,
 ``perfbench/`` and ``pyproject.toml``) to a temporary directory, runs Tier-1
@@ -19,7 +21,7 @@ prints ``killed``, ``survived`` or ``absent`` (the edited text does not
 occur exactly once in this tree) per edit, and exits 0 only when every edit was applied and
 killed.  It adds no test and is not part of Tier-1.  Tier-1 runs with -x,
 so a killed edit stops at its first failing test; one run of the script
-took 98 s on a 2-vCPU VM with all 27 edits killed, and each
+took 137 s on a 2-vCPU VM with all 29 edits killed, and each
 surviving edit adds a full Tier-1 run.
 
 Run from the repository root:  python scripts/mutants.py
@@ -80,6 +82,8 @@ EDITS = (
      "a_p = min(vpsi2, m // 2)", "a_p = max(vpsi2, m // 2)"),
     ("compute_profile n_P, first v(x) <= 0 for < 0", _PROFILE,
      "if v_walk[-1] < 0:", "if v_walk[-1] <= 0:"),
+    ("compute_profile walk end at p = 2, [n_P]P for [2 n_P]P", _PROFILE,
+     "2 * n_p if p == 2 else n_p", "n_p if p == 2 else n_p"),
     # not ">= 1": at a node the tangent quadratic's discriminant b2 is a unit,
     # so it has 0 or 2 roots in F_p, and that edit changes nothing
     ("run_tate split I_m, != 2 tangent roots for == 2", _TATE,
@@ -105,6 +109,10 @@ EDITS = (
      "        if acc is None:\n", "        if acc is None and n != 6:\n"),
     ("group law tangent step, 2-torsion test dropped", _CORE,
      "if y1 != y2 or d == 0:", "if y1 != y2:"),
+    ("EntryReport.exit_code, 1 first for a mismatch", "src/gcval/corpus.py",
+     "return max(EXIT_MISMATCH if failed else EXIT_OK, self.error_code)",
+     "return EXIT_MISMATCH if self.mismatches else "
+     "max(EXIT_MISMATCH if failed else EXIT_OK, self.error_code)"),
 )
 
 

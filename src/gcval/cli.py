@@ -104,6 +104,11 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+def _val_text(v) -> str:
+    """json.dumps(val_to_json(v)): kval writes its rows without json.dumps."""
+    return '"inf"' if v == INFINITY else str(v)
+
+
 def cmd_profile(args) -> int:
     model = _parse_curve(args.curve)
     point = None if args.point is None else _parse_point(args.point)
@@ -122,7 +127,7 @@ def cmd_profile(args) -> int:
     }
     if point is not None:
         try:
-            prof = compute_profile(tate, point)
+            prof = compute_profile(tate, point, keep=0)
         except TorsionPointError:
             # the point is accepted (it is on the curve); the order-dependent
             # profile fields are simply not defined for torsion points
@@ -164,28 +169,30 @@ def cmd_kval(args) -> int:
     n_max = _check_n_max(args.n_max)
     mode = args.mode
     tate = run_tate(model, args.prime)
-    prof = compute_profile(tate, point) if mode in ("formula", "both") else None
-    direct = None
-    if mode in ("direct", "both"):
+    prof = compute_profile(tate, point, keep=0) if mode != "direct" else None
+    rows = None
+    if mode != "formula":
         pt = prof.point if prof else assert_infinite_order(
             tate.minimal_model, map_point(tate.to_minimal, point))
         table = division_table(tate.minimal_model, pt, args.prime, n_max, keep=0)
-        direct = {n: (k, vphi, vpsi) for n, k, vphi, vpsi in k_direct_range(table, n_max)}
+        rows = k_direct_range(table, n_max)
     code = EXIT_OK
+    out = []
     for n in range(1, n_max + 1):
-        line = {"n": n}
+        line = f'{{"n": {n}'
         if prof is not None:
-            line["kFormula"] = k_formula(prof, n)
-        if direct is not None:
-            k, vphi, vpsi = direct[n]
-            line["kDirect"] = val_to_json(k)
-            line["vPhi"] = val_to_json(vphi)
-            line["vPsiSq"] = val_to_json(vpsi)
+            kf = k_formula(prof, n)
+            line += f', "kFormula": {kf}'
+        if rows is not None:
+            _, k, vphi, vpsi = rows[n - 1]
+            line += (f', "kDirect": {_val_text(k)}, "vPhi": {_val_text(vphi)}'
+                     f', "vPsiSq": {_val_text(vpsi)}')
         if mode == "both":
-            line["match"] = line["kFormula"] == direct[n][0]
-            if not line["match"]:
+            line += ', "match": true' if kf == k else ', "match": false'
+            if kf != k:
                 code = EXIT_MISMATCH
-        _emit(line)
+        out.append(line + "}\n")
+    sys.stdout.write("".join(out))
     return code
 
 
@@ -228,7 +235,11 @@ def cmd_formal_group(args) -> int:
 def cmd_seq(args) -> int:
     if args.rn:
         a, modulus, n = args.rn
-        _emit({"rN": r_n(a, modulus, n), "a": a, "modulus": modulus, "n": n})
+        try:
+            value = r_n(a, modulus, n)
+        except InputError as exc:
+            raise InputError(f"--rn: {exc}") from None
+        _emit({"rN": value, "a": a, "modulus": modulus, "n": n})
         return EXIT_OK
     b, e, h, s, w, p, n = args.sn
     check_prime(p)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .curve_core import Point, WeierstrassModel, integralize_at, map_point, on_curve
+from .curve_core import WALK_POINTS, Point, WeierstrassModel, integralize_at, map_point, on_curve
 from .divpoly import division_table, psi2_squared_x
 from .engine import (
     REQUIRED_ROWS,
@@ -347,7 +347,7 @@ def verify_entry(entry: CorpusEntry, n_max: int) -> EntryReport:
         pt = map_point(change, entry.curve_point)
         tate = run_tate(model, entry.prime)
         stage = "profile"
-        prof = compute_profile(tate, pt)
+        prof = compute_profile(tate, pt, keep=WALK_POINTS)
         row = classify_row(prof)
         report.row = row
         report.flagged = row_is_flagged(row)

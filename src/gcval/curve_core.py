@@ -294,8 +294,9 @@ def integral_form(model: WeierstrassModel, point: Point):
     return x, y, law.u * e
 
 
-#: every walk passes [WALK_POINTS]P, so it meets O on each torsion point
-#: over Q, whose order is at most 12 (Mazur)
+#: a walk that passes [WALK_POINTS]P meets O on each torsion point over Q,
+#: whose order is at most 12 (Mazur); profile.compute_profile may end its
+#: walk sooner, at a local proof of infinite order
 WALK_POINTS = 20
 
 

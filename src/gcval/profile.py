@@ -4,15 +4,16 @@ Collects everything the valuation formulas need: whether the point reduces
 to the singular locus, the order n_P of its reduction, the order m_P of its
 image in the component group, the component index a_P for multiplicative
 reduction, and the valuations of psi_2^2, psi_3 and phi_2 on the normalized
-model.  One walk over [1]P, ..., [max(WALK_POINTS, n_P)]P is the torsion
-guard (curve_core.multiples raises at an [n]P = O), and gives n_P, m_P,
-[2]P's singularity, the residues r < n_P with x([r]P) a p-adic unit, on
-which engine.predict_phi_val bases its v(phi_n) prediction, and two sets
-of walked points: [n_P]P, from which the staircase parameters read s_P,
-and the first ``WALK_POINTS`` multiples, which the structural checks
-compare with the division polynomials.  The points in between are dropped
-as the walk passes them, so a long walk (n_P in the thousands at large p)
-holds two points, not n_P.
+model.  One walk over [1]P, [2]P, ... is the torsion guard (curve_core.multiples
+raises at an [n]P = O), and gives n_P, m_P, [2]P's singularity, the residues
+r < n_P with x([r]P) a p-adic unit, on which engine.predict_phi_val bases its
+v(phi_n) prediction, [n_P]P, from which the staircase parameters read s_P, and
+the first ``keep`` multiples, which verify's structural checks compare with the
+division polynomials.  It ends at the first n >= max(n_P, keep) that proves P of
+infinite order: n >= WALK_POINTS (Mazur), or n >= n_P for p >= 3 and 2 n_P for
+p = 2, as E_1(Q_p) is torsion-free for p >= 3 and has torsion at most Z/2 at
+p = 2 (Silverman, AEC IV.6.4, VII.3.1).  Points in between are dropped as the
+walk passes them, so a long walk (n_P in the thousands) holds two points.
 
 The walk's points come from curve_core's integer group law and are on the
 curve by construction, so ``compute_profile`` checks the point once, where
@@ -56,7 +57,7 @@ class ReductionProfile:
     v_phi2: Valuation
     v_x: Valuation            # v(x(P)) on the minimal model
     x_unit_residues: frozenset  # r in 1..n_P-1 with v(x([r]P)) = 0
-    walk: tuple               # [1]P..[20]P on the minimal model
+    walk: tuple               # [1]P..[keep]P on the minimal model
     multiple_np: Point        # [n_P]P on the minimal model, in E_1
 
 
@@ -83,11 +84,13 @@ def _reduces_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     return partials_vanish(a, residue(point.x, p), residue(point.y, p), p)
 
 
-def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
+def compute_profile(tate: TateResult, point: Point,
+                    keep: int = WALK_POINTS) -> ReductionProfile:
     """Profile of an infinite-order point given on the *input* model.
 
-    Raises TorsionPointError if some [n]P = O, n <= max(WALK_POINTS, n_P),
-    and InputError, where the walk starts, if the point is not on the curve.
+    ``walk`` holds its first ``keep`` multiples.  Raises TorsionPointError at
+    the first [n]P = O of a torsion point, and InputError, where the walk
+    starts, if the point is not on the curve.
     """
     p = tate.p
     minimal = tate.minimal_model
@@ -95,9 +98,8 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
 
     # Walk to [n_P]P, the first multiple in E_1 (v(x) < 0); n_P divides
     # c_v * |E~_ns(F_p)| <= c_v * (p + 1 + 2*sqrt(p)).  m_P, the first n with
-    # [n]P non-singular, divides n_P because E_1 is non-singular.  As the
-    # torsion guard, and for the kept points, the walk goes on to
-    # [WALK_POINTS]P at least.
+    # [n]P non-singular, divides n_P because E_1 is non-singular.  It ends
+    # at the first n >= max(n_P, keep) that proves P of infinite order.
     n_cap = (p + 1 + 2 * math.isqrt(p) + 2 + 1) * tate.cv
     m_for_cap = tate.kodaira.m if tate.kodaira.series == "I" else 0
     m_cap = max(tate.cv, m_for_cap) + 1
@@ -105,7 +107,7 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
     v_walk = []
     m_p = n_p = None
     for n, q in enumerate(multiples(minimal, pt), start=1):
-        if n <= WALK_POINTS:
+        if n <= keep:
             walk.append(q)
         if n_p is None:
             v_walk.append(val(q.x, p))
@@ -116,9 +118,10 @@ def compute_profile(tate: TateResult, point: Point) -> ReductionProfile:
                     raise InternalError(f"m_P search exceeded its cap of {m_cap}")
             if v_walk[-1] < 0:
                 n_p, multiple_np = n, q
+                end = max(keep, min(WALK_POINTS, 2 * n_p if p == 2 else n_p))
             elif n >= n_cap:
                 raise InternalError(f"n_P search exceeded its cap of {n_cap}")
-        if n_p is not None and n >= WALK_POINTS:
+        if n_p is not None and n >= end:
             break
     singular = m_p > 1
 

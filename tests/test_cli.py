@@ -189,6 +189,17 @@ def test_seq_sn_out_of_range_exits_2(capsys, sn):
     assert capsys.readouterr().err.startswith("error: --sn: ")
 
 
+@pytest.mark.parametrize("rn, message", [
+    ("2 0 3", "modulus must be >= 1, got 0"),
+    ("2 -5 3", "modulus must be >= 1, got -5"),
+    ("2 5 -1", "index must be >= 0, got -1"),
+])
+def test_seq_rn_out_of_range_exits_2(capsys, rn, message):
+    assert main(["seq", "--rn", *rn.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --rn: {message}\n"
+
+
 def test_exit_2_on_malformed_input(tmp_path, capsys):
     assert main(["profile", "--curve", "0,0,0,0", "--prime", "5"]) == 2
     path = tmp_path / "bad.jsonl"

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from gcval import curve_core, divpoly, engine, exact_numbers, formal_group, profile
+from gcval import corpus, curve_core, divpoly, engine, exact_numbers, formal_group, profile
 from gcval.corpus import (
     CorpusEntry,
     CorpusParseError,
@@ -12,11 +12,12 @@ from gcval.corpus import (
     _structural_checks,
     entry_to_json,
     load_corpus,
+    verify_corpus,
     verify_entry,
 )
 from gcval.curve_core import on_curve
 from gcval.engine import default_staircase_params
-from gcval.errors import InternalError
+from gcval.errors import EXIT_INTERNAL, InternalError
 from gcval.tate import run_tate
 
 
@@ -187,6 +188,21 @@ def test_verify_entry_derives_the_staircase_once(corpus_profiles, monkeypatch):
         report = verify_entry(entry, n_max=30)
         stage = "structural" if has_params else None
         assert report.error_stage == stage, entry.label
+
+
+def test_a_crash_beside_a_mismatch_exits_4(corpus_entries, monkeypatch):
+    # a crash must never read as a verification mismatch, even in an entry
+    # whose comparison had already failed when it raised
+    def broken(prof):
+        raise InternalError("no staircase")
+
+    monkeypatch.setattr(corpus, "k_formula", lambda prof, n: -1)
+    monkeypatch.setattr(corpus, "default_staircase_params", broken)
+    report = verify_corpus(corpus_entries[:1], n_max=3)
+    [entry] = report.entries
+    assert len(entry.mismatches) == 3 and entry.error_stage == "structural"
+    assert entry.exit_code == report.exit_code == EXIT_INTERNAL
+    assert report.to_json()["summary"]["exitCode"] == EXIT_INTERNAL
 
 
 def test_verify_entry_parses_once_and_checks_at_the_boundaries(corpus_entries, tmp_path,

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from gcval.curve_core import Point, WeierstrassModel, mul
+from gcval import curve_core, profile
+from gcval.curve_core import WALK_POINTS, Point, WeierstrassModel, mul
 from gcval.errors import TorsionPointError
 from gcval.exact_numbers import INFINITY, val
 from gcval.profile import compute_profile, point_is_singular
@@ -91,13 +93,54 @@ def test_torsion_point_rejected():
 
 def test_torsion_guard_walks_past_n_p():
     # (3/4, -3/8) lies in E_1 at p = 2, so n_P = 1, and is 2-torsion: the
-    # guard must go on walking after [n_P]P to see [2]P = O
+    # guard must go on walking after [n_P]P to see [2]P = O, whatever the
+    # caller keeps (E_1(Q_2) may hold a point of order 2)
     tate = run_tate(WeierstrassModel(1, -1, 0, -4, 3), 2)
     point = Point(Fraction(3, 4), Fraction(-3, 8))
     assert val(point.x, 2) < 0
-    with pytest.raises(TorsionPointError) as info:
-        compute_profile(tate, point)
-    assert str(info.value) == "[2](3/4,-3/8) = O: torsion point"
+    for keep in (0, WALK_POINTS):
+        with pytest.raises(TorsionPointError) as info:
+            compute_profile(tate, point, keep=keep)
+        assert str(info.value) == "[2](3/4,-3/8) = O: torsion point"
+
+
+@pytest.mark.parametrize("a, pt, p, order", [
+    ((0, 0, 0, 0, 1), (2, 3), 5, 6),     # good reduction at 5 and 7
+    ((0, 0, 0, 0, 1), (2, 3), 7, 6),
+    ((0, -1, 1, 0, 0), (0, 0), 2, 5),    # 11a3: good at 2 and 3,
+    ((0, -1, 1, 0, 0), (0, 0), 3, 5),    # split multiplicative at 11
+    ((0, -1, 1, 0, 0), (0, 0), 11, 5),
+])
+def test_torsion_guard_is_the_same_for_every_keep(a, pt, p, order):
+    # a point of order N first reaches E_1 at [N]P = O, as E_1(Q_p) is
+    # torsion-free for p >= 3 and has only 2-power torsion at p = 2, so a
+    # walk that may end at [n_P]P meets O at the same [n]P as a full one
+    tate = run_tate(WeierstrassModel(*a), p)
+    for keep in (0, WALK_POINTS):
+        with pytest.raises(TorsionPointError) as info:
+            compute_profile(tate, Point(*pt), keep=keep)
+        assert str(info.value) == f"[{order}]({pt[0]},{pt[1]}) = O: torsion point"
+
+
+def test_keep_0_ends_the_walk_at_a_local_proof(corpus_profiles, monkeypatch):
+    # every field but the walk is the full walk's; the walk stops at [n_P]P
+    # for p >= 3 and at [min(2 n_P, WALK_POINTS)]P, past [n_P]P, for p = 2
+    drawn = []
+
+    def counted(model, point):
+        drawn.clear()
+        for q in curve_core.multiples(model, point):
+            drawn.append(q)
+            yield q
+
+    monkeypatch.setattr(profile, "multiples", counted)
+    for entry, tate, full, _row in corpus_profiles:
+        assert len(full.walk) == WALK_POINTS, entry.label
+        short = compute_profile(tate, entry.curve_point, keep=0)
+        assert short.walk == () and replace(short, walk=full.walk) == full, entry.label
+        n_p = full.n_p
+        local = n_p if tate.p > 2 else max(n_p, min(2 * n_p, WALK_POINTS))
+        assert len(drawn) == local, entry.label
 
 
 def test_profile_through_nonminimal_input():
