@@ -11,8 +11,12 @@ singularity, the walk's end at p = 2) or of ``tate.run_tate`` (split, c_v
 of non-split I_m, IV, I0*, IV*, III* and I_m*, the step-6 cubic's triple
 root), which the closed form reads; two edit ``curve_core``: the walk's
 torsion check at [6]P = O, and the tangent step's test for a 2-torsion
-point; and one makes ``corpus.EntryReport.exit_code`` report a crashed
-entry with a mismatch as a mismatch (exit 1, not 4).
+point; one makes ``corpus.EntryReport.exit_code`` report a crashed
+entry with a mismatch as a mismatch (exit 1, not 4); one drops a term of
+``divpoly.psi2_squared_x``, which the c_v = 3 closed form reads; and six
+weaken one of verify's own checks: ``mp2-phi2-psi3``,
+``Imstar-trichotomy``, ``minimality-idempotence``, ``good-reduction-b``,
+``psi-prediction`` past n = 29, and the ``row`` pin.
 
 The script copies the checkout (``src/``, ``tests/``, ``scripts/``,
 ``perfbench/`` and ``pyproject.toml``) to a temporary directory, runs Tier-1
@@ -21,7 +25,7 @@ prints ``killed``, ``survived`` or ``absent`` (the edited text does not
 occur exactly once in this tree) per edit, and exits 0 only when every edit was applied and
 killed.  It adds no test and is not part of Tier-1.  Tier-1 runs with -x,
 so a killed edit stops at its first failing test; one run of the script
-took 137 s on a 2-vCPU VM with all 29 edits killed, and each
+took 211 s on a 2-vCPU VM with all 36 edits killed, and each
 surviving edit adds a full Tier-1 run.
 
 Run from the repository root:  python scripts/mutants.py
@@ -45,11 +49,12 @@ _ENGINE = "src/gcval/engine.py"
 _NONSING = "return n * n * int(profile.v_x)"
 _MULT = ('if t.reduction == "multiplicative":\n'
          '        return 2 * r_n(profile.a_p, t.v_delta, n)')
-_CV3 = "return _exact_int(v * n * n, 3)"
-_CV4_N2 = "return _exact_int(v * n * n, 4) - 1"
+_CV3 = "return int(profile.v_psi2_sq) * (n * n // 3)"
+_CV4_N2 = "return k - 1"
 _PROFILE = "src/gcval/profile.py"
 _TATE = "src/gcval/tate.py"
 _CORE = "src/gcval/curve_core.py"
+_CORPUS = "src/gcval/corpus.py"
 _ISTAR_RETURN = 'return KodairaType("I*", n), 4 if roots else 2, None, st\n'
 _ISTAR_ODD = _ISTAR_RETURN + "            (root,) = roots\n            if root:\n" \
     "                st.translate(t="
@@ -109,10 +114,24 @@ EDITS = (
      "        if acc is None:\n", "        if acc is None and n != 6:\n"),
     ("group law tangent step, 2-torsion test dropped", _CORE,
      "if y1 != y2 or d == 0:", "if y1 != y2:"),
-    ("EntryReport.exit_code, 1 first for a mismatch", "src/gcval/corpus.py",
+    ("EntryReport.exit_code, 1 first for a mismatch", _CORPUS,
      "return max(EXIT_MISMATCH if failed else EXIT_OK, self.error_code)",
      "return EXIT_MISMATCH if self.mismatches else "
      "max(EXIT_MISMATCH if failed else EXIT_OK, self.error_code)"),
+    ("psi2_squared_x, b2 term dropped", "src/gcval/divpoly.py",
+     "return 4 * x ** 3 + model.b2 * x * x + 2 * model.b4 * x + model.b6",
+     "return 4 * x ** 3 + 2 * model.b4 * x + model.b6"),
+    ("mp2-phi2-psi3, < for !=", _CORPUS,
+     "prof.m_p == 2 and prof.v_phi2 != prof.v_psi3", "prof.m_p == 2 and prof.v_phi2 < prof.v_psi3"),
+    ("Imstar-trichotomy dropped", _CORPUS, "if not (vx == 1 or vx >= lo):", "if False:"),
+    ("minimality-idempotence, v(Delta) ignored", _CORPUS,
+     "or rerun.v_delta != tate.v_delta or not", "or not"),
+    ("good-reduction-b, b = 1 admitted", _CORPUS,
+     "params.b not in (p, p * p)", "params.b not in (1, p, p * p)"),
+    ("psi-prediction, compared for n < 30 only", _CORPUS,
+     "for (n, _k, _vphi, vpsi_sq) in rows:", "for (n, _k, _vphi, vpsi_sq) in rows[:29]:"),
+    ("expect, row pin ignored", _CORPUS,
+     "for key in _EXPECT_KEYS:", "for key in _EXPECT_KEYS[:3]:"),
 )
 
 

@@ -122,7 +122,13 @@ def _exact_int(numerator: int, denominator: int) -> int:
 
 
 def k_formula(profile: ReductionProfile, n: int) -> int:
-    """The closed form for k_n(P); always an exact integer."""
+    """The closed form for k_n(P).
+
+    On additive reduction it is v(psi_2^2) floor(n^2 / 3) for c_v = 3, and
+    v(psi_3) floor(n^2 / 4) for c_v = 2 and 4, less 1 at n = 2 mod 4 when
+    c_v = 4 and [2]P is singular.  The floors are the table's v n^2 / M
+    and v (n^2 - 1) / M, as n^2 mod 3 is 0 or 1 and n^2 mod 8 is 0, 1 or 4.
+    """
     if n < 1:
         raise InputError(f"index must be >= 1, got {n}")
     t = profile.tate
@@ -137,23 +143,12 @@ def k_formula(profile: ReductionProfile, n: int) -> int:
     if cv == 1:
         raise InternalError("singular point with trivial component group")
     if cv == 3:
-        v = int(profile.v_psi2_sq)
-        if n % 3 == 0:
-            return _exact_int(v * n * n, 3)
-        return _exact_int(v * (n * n - 1), 3)
-    if cv == 2 or (cv == 4 and not profile.two_p_singular):
-        v = int(profile.v_psi3)
-        if n % 2 == 0:
-            return _exact_int(v * n * n, 4)
-        return _exact_int(v * (n * n - 1), 4)
-    if cv == 4:
-        v = int(profile.v_psi3)
-        rem = n % 4
-        if rem == 0:
-            return _exact_int(v * n * n, 4)
-        if rem in (1, 3):
-            return _exact_int(v * (n * n - 1), 4)
-        return _exact_int(v * n * n, 4) - 1
+        return int(profile.v_psi2_sq) * (n * n // 3)
+    if cv in (2, 4):
+        k = int(profile.v_psi3) * (n * n // 4)
+        if cv == 4 and profile.two_p_singular and n % 4 == 2:
+            return k - 1
+        return k
     raise InternalError(f"unhandled additive c_v = {cv}")
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -9,15 +10,16 @@ from gcval.corpus import (
     CorpusEntry,
     CorpusParseError,
     EntryReport,
+    _prediction_checks,
     _structural_checks,
     entry_to_json,
     load_corpus,
     verify_corpus,
     verify_entry,
 )
-from gcval.curve_core import on_curve
+from gcval.curve_core import map_point, on_curve
 from gcval.engine import default_staircase_params
-from gcval.errors import EXIT_INTERNAL, InternalError
+from gcval.errors import EXIT_INTERNAL, EXIT_MISMATCH, InternalError
 from gcval.tate import run_tate
 
 
@@ -70,16 +72,6 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     path.write_text("{" + good + ', "expect": {"kodaira": "I0", "cv": 1, '
                     '"mP": 1, "row": "nonsingular-vx-nonneg"}, "flags": ["f"]}\n')
     assert load_corpus(path)[0].flags == ("f",)
-
-
-def test_verify_entry_reports_mismatch_on_corrupted_profile(corpus_entries):
-    # corrupting the pinned expectation must flip the entry to failing
-    base = corpus_entries[0]
-    bad = type(base)(
-        label=base.label, a=base.a, point=base.point, prime=base.prime,
-        expect=dict(base.expect, cv=base.expect["cv"] + 1), flags=base.flags)
-    report = verify_entry(bad, n_max=4)
-    assert not report.ok and not report.expect_ok
 
 
 def test_split_im_pairs_required_by_coverage(corpus_entries):
@@ -238,14 +230,20 @@ def structural_failures(tate, prof, table):
 
 
 @pytest.fixture(scope="module")
-def structural_case(corpus_profiles):
-    """(tate, profile, division table to index 24) of the first corpus entry."""
-    _entry, tate, prof, _row = corpus_profiles[0]
-    return tate, prof, divpoly.division_table(tate.minimal_model, prof.point, tate.p, 24)
+def case_of(corpus_profiles):
+    """case_of(label): (tate, profile, division table to index 24) of the
+    corpus entry with that label."""
+    by_label = {entry.label: (tate, prof) for entry, tate, prof, _row in corpus_profiles}
+
+    @functools.cache
+    def case(label):
+        tate, prof = by_label[label]
+        return tate, prof, divpoly.division_table(tate.minimal_model, prof.point, tate.p, 24)
+    return case
 
 
-def test_perturbed_psi_fails_the_divisibility_identity(structural_case):
-    tate, prof, table = structural_case
+def test_perturbed_psi_fails_the_divisibility_identity(case_of):
+    tate, prof, table = case_of("III-p5")
     assert structural_failures(tate, prof, table) == []
     # W_7, at index 8 of the table, doubled
     k, u = table.w[8]
@@ -261,9 +259,118 @@ def test_perturbed_psi_fails_the_divisibility_identity(structural_case):
         "x-multiple-identity: n=8"}
 
 
-def test_perturbed_walk_point_fails_the_x_multiple_identity(structural_case):
-    tate, prof, table = structural_case
+def test_perturbed_walk_point_fails_the_x_multiple_identity(case_of):
+    tate, prof, table = case_of("III-p5")
     assert prof.n_p != 3
     walk = prof.walk[:2] + prof.walk[3:4] + prof.walk[3:]  # [4]P for [3]P
     failures = structural_failures(tate, replace(prof, walk=walk), table)
     assert failures == ["x-multiple-identity: n=3"]
+
+
+def test_perturbed_v_phi2_fails_the_mp2_check(case_of):
+    # III: m_P = 2, where v(phi_2) = v(psi_3); a larger v(phi_2) fails too
+    tate, prof, table = case_of("III-p5")
+    assert prof.m_p == 2 and structural_failures(tate, prof, table) == []
+    bad = replace(prof, v_phi2=prof.v_psi3 + 1)
+    assert structural_failures(tate, bad, table) == ["mp2-phi2-psi3"]
+
+
+def test_perturbed_translation_fails_the_mp3_check(case_of):
+    # IV: m_P = 3; phi_3 moved by the wrong r loses v(phi_3) = 3 v(psi_2^2)
+    tate, prof, table = case_of("IV-p7")
+    assert prof.m_p == 3 and structural_failures(tate, prof, table) == []
+    shift = replace(tate.to_normalized, r=tate.to_normalized.r + 1)
+    bad = replace(tate, to_normalized=shift)
+    assert structural_failures(bad, replace(prof, tate=bad), table) == ["mp3-phi3-psi2sq"]
+
+
+def test_perturbed_normalized_point_fails_the_Imstar_trichotomy(case_of):
+    # I1*: a singular point has v(x) = 1 or v(x) >= 2 on the normalized model;
+    # [4]P, non-singular, has v(x) = 0 there
+    tate, prof, table = case_of("I1star-c4-deep-p3")
+    assert str(tate.kodaira) == "I1*" and structural_failures(tate, prof, table) == []
+    q = map_point(tate.to_normalized, prof.walk[3])
+    bad = replace(prof, point_normalized=q)
+    assert structural_failures(tate, bad, table) == ["Imstar-trichotomy: v(x)=0"]
+
+
+def test_perturbed_v_phi2_fails_the_Imstar_phi2_values(case_of):
+    # I1*: v(phi_2) is 4 or m + 4 = 5, and equals v(psi_3)
+    tate, prof, table = case_of("I1star-c4-deep-p3")
+    assert prof.m_p != 2
+    bad = replace(prof, v_phi2=prof.v_phi2 + 1)
+    assert structural_failures(tate, bad, table) == ["Imstar-phi2-values: v(phi2)=6 v(psi3)=5"]
+
+
+def test_perturbed_normalized_model_fails_the_singular_criterion(case_of):
+    # a4 + 1, a6 - x(P) keeps P on the model but makes dF/dx a unit at P,
+    # so P, with v(x), v(y) >= 1, no longer reduces to the singular point
+    tate, prof, table = case_of("III-p5")
+    norm, x = tate.normalized_model, prof.point_normalized.x
+    bad = replace(tate, normalized_model=replace(norm, a4=norm.a4 + 1, a6=norm.a6 - x))
+    failures = structural_failures(bad, replace(prof, tate=bad), table)
+    assert failures == ["singular-criterion-normalized"]
+
+
+def test_perturbed_v_delta_fails_minimality_idempotence(case_of):
+    tate, prof, table = case_of("III-p5")
+    bad = replace(tate, v_delta=tate.v_delta + 1)
+    assert structural_failures(bad, replace(prof, tate=bad), table) == ["minimality-idempotence"]
+
+
+def test_perturbed_b_fails_the_good_reduction_check(case_of):
+    # 37a at 2 is supersingular: b = p^2 = 4; b = 1 is no good-reduction value
+    tate, prof, table = case_of("37a-x5P-p2")
+    params = default_staircase_params(prof)
+    assert tate.reduction == "good" and params.b == 4
+    report = EntryReport(label="structural")
+    _structural_checks(report, prof, table, replace(params, b=1))
+    assert report.check_failures == ["good-reduction-b: b=1"]
+
+
+def test_perturbed_oracle_rows_fail_the_predictions(case_of):
+    # 37a-x5P at 2 has n_P = 1, so v(psi_n) and v(phi_n) are predicted at
+    # every n; perturb each at n = 30
+    tate, prof, _table = case_of("37a-x5P-p2")
+    params = default_staircase_params(prof)
+    table = divpoly.division_table(tate.minimal_model, prof.point, tate.p, 40)
+    rows = engine.k_direct_range(table, 40)
+
+    def prediction_failures(rows):
+        report = EntryReport(label="predictions")
+        _prediction_checks(report, prof, rows, params)
+        return report.check_failures
+
+    assert prof.n_p == 1 and prediction_failures(rows) == []
+    n, k, v_phi, v_psi_sq = rows[29]
+    assert n == 30
+    psi = rows[:29] + [(n, k, v_phi, v_psi_sq + 2)] + rows[30:]
+    assert prediction_failures(psi) == ["psi-prediction: n=30 predicted=-898 actual=-897"]
+    phi = rows[:29] + [(n, k, v_phi + 1, v_psi_sq)] + rows[30:]
+    assert prediction_failures(phi) == ["phi-prediction: n=30 predicted=-1800 actual=-1799"]
+
+
+@pytest.mark.parametrize("key, pin, failure", [
+    ("kodaira", "IV", "expect: kodaira III != IV"),
+    ("cv", 3, "expect: cv 2 != 3"),
+    ("mP", 3, "expect: mP 2 != 3"),
+    ("row", "IV", "expect: row III != IV"),
+], ids=["kodaira", "cv", "mP", "row"])
+def test_perturbed_pin_fails_the_expect_check(corpus_entries, key, pin, failure):
+    # a wrong pin flips the entry to failing, with exit 1
+    base = corpus_entries[0]
+    assert base.label == "III-p5" and verify_entry(base, n_max=4).ok
+    bad = replace(base, expect=dict(base.expect, **{key: pin}))
+    report = verify_entry(bad, n_max=4)
+    assert report.check_failures == [failure]
+    assert not report.expect_ok and report.exit_code == EXIT_MISMATCH
+
+
+def test_an_oracle_crash_reports_no_index_checked(corpus_entries, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("no table")
+
+    monkeypatch.setattr(corpus, "division_table", broken)
+    report = verify_entry(corpus_entries[0], n_max=30)
+    assert (report.n_checked, report.error_stage) == (0, "oracle")
+    assert report.to_json()["nChecked"] == 0
