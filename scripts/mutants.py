@@ -13,10 +13,13 @@ root), which the closed form reads; two edit ``curve_core``: the walk's
 torsion check at [6]P = O, and the tangent step's test for a 2-torsion
 point; one makes ``corpus.EntryReport.exit_code`` report a crashed
 entry with a mismatch as a mismatch (exit 1, not 4); one drops a term of
-``divpoly.psi2_squared_x``, which the c_v = 3 closed form reads; and six
+``divpoly.psi2_squared_x``, which the c_v = 3 closed form reads; six
 weaken one of verify's own checks: ``mp2-phi2-psi3``,
 ``Imstar-trichotomy``, ``minimality-idempotence``, ``good-reduction-b``,
-``psi-prediction`` past n = 29, and the ``row`` pin.
+``psi-prediction`` past n = 29, and the ``row`` pin; and five drop one
+kept ``InternalError`` guard each, in ``tate``, ``profile``, ``engine``,
+``formal_group`` and ``divpoly``, which its trigger in
+``tests/test_internal_guards.py`` catches.
 
 The script copies the checkout (``src/``, ``tests/``, ``scripts/``,
 ``perfbench/`` and ``pyproject.toml``) to a temporary directory, runs Tier-1
@@ -25,8 +28,9 @@ prints ``killed``, ``survived`` or ``absent`` (the edited text does not
 occur exactly once in this tree) per edit, and exits 0 only when every edit was applied and
 killed.  It adds no test and is not part of Tier-1.  Tier-1 runs with -x,
 so a killed edit stops at its first failing test; one run of the script
-took 211 s on a 2-vCPU VM with all 36 edits killed, and each
-surviving edit adds a full Tier-1 run.
+took 455 s on a 2-vCPU VM with all 41 edits killed.  Each surviving edit
+adds a full Tier-1 run, and so nearly does each dropped guard, as
+``tests/test_internal_guards.py`` runs late in Tier-1.
 
 Run from the repository root:  python scripts/mutants.py
 """
@@ -75,8 +79,8 @@ EDITS = (
     ("k_formula c_v = 3, +1 past n = 120", _ENGINE, _CV3, _CV3 + " + (n > 120)"),
     ("k_formula c_v = 4, n = 2 mod 4, +1 past n = 60", _ENGINE, _CV4_N2,
      _CV4_N2 + " + (n > 60)"),
-    ("r_n, +1 past n = 60", "src/gcval/sequences.py", "    return q\n",
-     "    return q + (n > 60)\n"),
+    ("r_n, +1 past n = 60", "src/gcval/sequences.py", "    return num // (2 * modulus)\n",
+     "    return num // (2 * modulus) + (n > 60)\n"),
     ("tie exponent, +1 when k > 10^4", "src/gcval/divpoly.py",
      "return k + p_split(d, p)[0]", "return k + p_split(d, p)[0] + (k > 10 ** 4)"),
     ("table_decomposition, modulus 2 for c_v = 4 with [2]P singular", _ENGINE,
@@ -132,6 +136,16 @@ EDITS = (
      "for (n, _k, _vphi, vpsi_sq) in rows:", "for (n, _k, _vphi, vpsi_sq) in rows[:29]:"),
     ("expect, row pin ignored", _CORPUS,
      "for key in _EXPECT_KEYS:", "for key in _EXPECT_KEYS[:3]:"),
+    ("run_tate I_m v(c4) guard dropped", _TATE,
+     "k.m > 0 and res.v_c4 != 0:", "k.m > 0 and False:"),
+    ("compute_profile a_P = 0 guard dropped", _PROFILE, "if a_p < 1:", "if False:"),
+    ("table_decomposition epsilon guard dropped", _ENGINE,
+     "if pred.epsilon_at(n) != 0:", "if False:"),
+    ("staircase_params w >= 0 guard dropped", "src/gcval/formal_group.py",
+     "if w < 0:", "if False:"),
+    ("division_table W_2 division guard dropped", "src/gcval/divpoly.py",
+     "            if r:\n                raise InternalError(f\"W_2",
+     "            if False:\n                raise InternalError(f\"W_2"),
 )
 
 

@@ -39,6 +39,7 @@ from .curve_core import (
     assert_infinite_order,
     integralize_point_at,
     map_point,
+    require_on_curve,
 )
 from .divpoly import division_table, psi_sequence
 from .engine import (
@@ -100,6 +101,17 @@ def _parse_point(text: str) -> Point:
     return Point(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
+def _integral_input(args, point_text):
+    """(--curve integralized at --prime, the point parsed from point_text,
+    checked on --curve and mapped along), with None for no point_text."""
+    model = _parse_curve(args.curve)
+    point = None if point_text is None else _parse_point(point_text)
+    model2, point2 = integralize_point_at(model, point, args.prime)
+    if point is not None:
+        require_on_curve(model, point)
+    return model2, point2
+
+
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
@@ -110,9 +122,7 @@ def _val_text(v) -> str:
 
 
 def cmd_profile(args) -> int:
-    model = _parse_curve(args.curve)
-    point = None if args.point is None else _parse_point(args.point)
-    model, point = integralize_point_at(model, point, args.prime)
+    model, point = _integral_input(args, args.point)
     tate = run_tate(model, args.prime)
     out = {
         "kodaira": str(tate.kodaira),
@@ -163,9 +173,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_kval(args) -> int:
-    model = _parse_curve(args.curve)
-    point = _parse_point(args.point)
-    model, point = integralize_point_at(model, point, args.prime)
+    model, point = _integral_input(args, args.point)
     n_max = _check_n_max(args.n_max)
     mode = args.mode
     tate = run_tate(model, args.prime)
@@ -197,9 +205,7 @@ def cmd_kval(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    model = _parse_curve(args.curve)
-    point = _parse_point(args.point)
-    model, point = integralize_point_at(model, point, args.prime)
+    model, point = _integral_input(args, args.point)
     n_max = _check_n_max(args.n_max)
     seq = psi_sequence(model, point, args.prime, n_max)
     for n, v_phi, v_psi in seq.valuations:
@@ -214,8 +220,7 @@ def cmd_psi(args) -> int:
 
 
 def cmd_formal_group(args) -> int:
-    model = _parse_curve(args.curve)
-    model, _ = integralize_point_at(model, None, args.prime)
+    model, _ = _integral_input(args, None)
     m = args.prime if args.m is None else args.m
     order = args.prime ** 2 + 1 if args.order is None else args.order
     if order > ORDER_GUARDRAIL:
@@ -253,7 +258,7 @@ def cmd_seq(args) -> int:
     if n < 1:
         raise InputError(f"--sn: N must be >= 1, got {n}")
     j = staircase_j(b, e, h, s)
-    params = StaircaseParams(b, e, h, j, s, w).validate(p)
+    params = StaircaseParams(b, e, h, j, s, w)
     value = s_n(params, p, n)
     _emit({"sN": val_to_json(value) if value == INFINITY else int(value),
            "b": b, "e": e, "h": h, "j": j, "s": s, "w": w, "prime": p, "n": n})

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .curve_core import WALK_POINTS, Point, WeierstrassModel, integralize_at, map_point, on_curve
+from .curve_core import WALK_POINTS, Point, WeierstrassModel, integralize_point_at, on_curve
 from .divpoly import division_table
 from .engine import (
     REQUIRED_ROWS,
@@ -343,8 +343,7 @@ def verify_entry(entry: CorpusEntry, n_max: int) -> EntryReport:
     stage = "tate"
     try:
         # the entry's point was checked on its model when it was parsed
-        model, change = integralize_at(entry.model, entry.prime)
-        pt = map_point(change, entry.curve_point)
+        model, pt = integralize_point_at(entry.model, entry.curve_point, entry.prime)
         tate = run_tate(model, entry.prime)
         stage = "profile"
         prof = compute_profile(tate, pt, keep=WALK_POINTS)
@@ -370,7 +369,9 @@ def verify_entry(entry: CorpusEntry, n_max: int) -> EntryReport:
                     {"n": n, "kFormula": kf, "kDirect": val_to_json(k)})
         report.n_checked = len(rows)
         if prof.singular:
-            table_decomposition(prof)  # raises InternalError on inconsistency
+            # raises InternalError unless epsilon vanishes at the multiples
+            # of the walk's m_P, which compares m_P with Tate's modulus
+            table_decomposition(prof)
         stage = "structural"
         params = default_staircase_params(prof)
         _structural_checks(report, prof, table, params)

@@ -322,29 +322,25 @@ def assert_infinite_order(model: WeierstrassModel, point: Point) -> Point:
     return point
 
 
-def integralize_at(model: WeierstrassModel, p: int):
-    """Scale u = p^-k so all a-invariants become p-integral.
+def integralize_point_at(model: WeierstrassModel, point: Point | None, p: int):
+    """(model integralized at p, the point mapped along), for a prime p and
+    a point on the curve or None; the model then suits run_tate.  The point
+    is not checked here: its callers check it on the model where they parse
+    it (load_corpus, and the command line).
 
-    Returns (new_model, change).  This is the 'clear denominators first'
-    step that the Tate runner requires of its callers.
+    The change is u = p^-k with the least k >= 0 that makes every
+    a-invariant p-integral: the 'clear denominators first' step that the
+    Tate runner requires of its callers.
     """
+    check_prime(p)
     k = 0
     for i, a in zip((1, 2, 3, 4, 6), model.coefficients()):
         if a != 0:
             v = int(val(a, p))
             if v < 0:
                 k = max(k, (-v + i - 1) // i)
-    if k == 0:
-        return model, CoordinateChange()
     change = CoordinateChange(u=Fraction(1, p ** k))
-    return apply_change(model, change), change
-
-
-def integralize_point_at(model: WeierstrassModel, point: Point | None, p: int):
-    """(model integralized at p, the point mapped along), for a prime p and
-    a point on the curve or None; the model then suits run_tate."""
-    check_prime(p)
-    model2, change = integralize_at(model, p)
+    model2 = model if k == 0 else apply_change(model, change)
     if point is None:
         return model2, None
-    return model2, map_point(change, require_on_curve(model, point))
+    return model2, map_point(change, point)

@@ -190,6 +190,10 @@ class StaircaseParams:
     j: smallest j >= 0 with e <= b^j ((b-1) s + h), 0 by convention for b = 1;
     s: v(x/y) at [n_P]P;
     w: correction term, nonzero only in the equality case of j.
+
+    A plain record: its two builders check their own inputs.
+    ``staircase_params`` checks b, s and w, and ``gcval seq --sn`` refuses
+    each out-of-range value with exit 2.
     """
 
     b: int
@@ -198,17 +202,6 @@ class StaircaseParams:
     j: int
     s: int
     w: Valuation
-
-    def validate(self, p: int) -> "StaircaseParams":
-        if not (self.b == 1 or (self.b > 0 and self.b % p == 0)):
-            raise InternalError(f"b = {self.b} is neither 1 nor a positive multiple of {p}")
-        if self.e < 1 or self.h < 0 or self.j < 0 or self.s < 1:
-            raise InternalError(f"staircase parameters out of range: {self}")
-        if self.w != INFINITY and self.w < 0:
-            raise InternalError(f"negative w: {self}")
-        if self.b == 1 and (self.h, self.j, self.w) != (0, 0, 0):
-            raise InternalError("b = 1 forces h = j = w = 0")
-        return self
 
 
 def staircase_j(b: int, e: int, h: int, s: int) -> int:
@@ -238,9 +231,13 @@ def staircase_params(model: WeierstrassModel, q: Point, p: int,
     from the value a caller's formula prescribes.  With e = 1 the unit
     coefficient at T^b has h = 0 and staircase_j gives j = 0, so the
     parameters are (b, 1, 0, 0, s, w); w is read from [p]q only in the
-    equality case (b - 1) s = 1, that is b = 2 and s = 1.
+    equality case (b - 1) s = 1, that is b = 2 and s = 1.  Raises
+    InternalError unless b is 1 or a positive multiple of p, s >= 1 and
+    w >= 0.
     """
     check_prime(p)
+    if not (b == 1 or (b > 0 and b % p == 0)):
+        raise InternalError(f"b = {b} is neither 1 nor a positive multiple of {p}")
     s = _xy_valuation(q, p)
     if s == INFINITY or s < 1:
         raise InternalError(f"v(x/y) at [n_P]P should be a positive integer, got {s}")
@@ -249,4 +246,6 @@ def staircase_params(model: WeierstrassModel, q: Point, p: int,
     if (b - 1) * s == 1:
         v1 = _xy_valuation(mul(model, p, q), p)
         w = INFINITY if v1 == INFINITY else int(v1) - b * s
-    return StaircaseParams(b, 1, 0, 0, s, w).validate(p)
+        if w < 0:
+            raise InternalError(f"negative w = {w} at b = {b}, s = {s}")
+    return StaircaseParams(b, 1, 0, 0, s, w)

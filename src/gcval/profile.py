@@ -74,12 +74,10 @@ def point_is_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
 
 def _reduces_singular(model: WeierstrassModel, point: Point, p: int) -> bool:
     """point_is_singular for an affine point known to be on the p-integral
-    model: both partials vanish modulo p."""
+    model: both partials vanish modulo p.  Integral x forces integral y on
+    an integral model; residue raises InternalError if it is not."""
     if point.x.denominator % p == 0:
         return False
-    # integral x forces integral y on an integral model
-    if point.y.denominator % p == 0:
-        raise InternalError("integral x with non-integral y on an integral model")
     a = [residue(c, p) for c in model.coefficients()[:4]]
     return partials_vanish(a, residue(point.x, p), residue(point.y, p), p)
 

@@ -1,8 +1,16 @@
 """The arithmetic sequences driving the valuation formulas.
 
-r_n(a, l): quadratic-minus-periodic integer sequence; the division by 2l
-is exact (an integer congruence guarantees it), and the implementation
-asserts that at runtime.
+r_n(a, l): quadratic-minus-periodic integer sequence.  With x^ = x mod l
+and f(x) = x^ (l - x^), r_n = (n^2 f(a) - f(na)) / (2l) is a non-negative
+integer, so the division is taken as it is:
+
+* exact: x^ = x - kl gives f(x) = x (l - x) - k (1 - k) l^2 + 2 k l x^,
+  and k (1 - k) is even, so f(x) = x (l - x) mod 2l; then
+  n^2 f(a) - f(na) = n (n - 1) l a mod 2l, and n (n - 1) is even;
+* non-negative: f(x) = d (l - d) with d <= l/2 the distance from x to the
+  nearest multiple of l, and d(na) <= n d(a), so for n >= 2
+  f(na) <= d(na) l <= n d(a) l <= n^2 d(a) (l - d(a)) = n^2 f(a); r_0 and
+  r_1 are 0.
 
 s_n: the staircase sequence controlled by the parameters (b, e, h, j, s, w)
 read off the formal group; it governs growth along p-power indices.
@@ -10,7 +18,7 @@ read off the formal group; it governs growth along p-power indices.
 
 from __future__ import annotations
 
-from .errors import InputError, InternalError
+from .errors import InputError
 from .exact_numbers import INFINITY, Valuation, val
 
 
@@ -23,12 +31,7 @@ def r_n(a: int, modulus: int, n: int) -> int:
     a_hat = a % modulus
     na_hat = (n * a) % modulus
     num = n * n * a_hat * (modulus - a_hat) - na_hat * (modulus - na_hat)
-    q, rem = divmod(num, 2 * modulus)
-    if rem:
-        raise InternalError(f"r_n({a},{modulus},{n}): division by 2l not exact")
-    if q < 0:
-        raise InternalError(f"r_n({a},{modulus},{n}) negative")
-    return q
+    return num // (2 * modulus)
 
 
 def s_n(params, p: int, m: int) -> Valuation:

@@ -3,6 +3,8 @@ import json
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcval.cli import build_parser, main
 from gcval.corpus import CorpusParseError, entry_to_json, load_corpus
@@ -182,6 +184,7 @@ def test_seq_rn_and_sn(capsys):
     "2 1 0 -1 0 2 1",   # S < 1: the j search would never end
     "0 1 0 1 0 5 1",    # B is neither 1 nor a positive multiple of P
     "3 1 0 1 0 2 1",
+    "1 1 1 1 0 2 1",    # B = 1 with H = 1
     "2 1 0 1 0 2 0",    # N < 1
 ])
 def test_seq_sn_out_of_range_exits_2(capsys, sn):
@@ -416,3 +419,110 @@ def test_negative_curve_and_point_values_may_be_separate_tokens(capsys):
     moved = ("--curve", "-1,1,-1,1,-1", "--prime", "5")
     assert run("profile", *moved) == run("profile", "--curve=-1,1,-1,1,-1", "--prime", "5")
     assert run("profile", *moved)[0] == 0
+
+
+# The failure contract over a generated argv.  Each option takes a valid,
+# malformed, exponent-form, empty, O or leading-minus value, or is left out.
+_CURVES = ("0,0,1,-1,0",         # 37a
+           "0,0,0,0,1",          # y^2 = x^3 + 1: (2,3) has order 6, (-1,0) order 2
+           "0,0,1/8,-1/16,0",    # 37a scaled by u = 2, integral at 2 once scaled back
+           "-1,0,0,0,0", "0,0,0,0,0",  # singular
+           "0,0,1,-1", "1e2,0,1,-1,0", "", "O")
+_POINTS = ("0,0", "-1,-1", "1/4,0",  # on 37a, and on its scaled model
+           "2,3", "-1,0",            # torsion and 2-torsion on y^2 = x^3 + 1
+           "1,1",                    # on none of the curves
+           "1,2,3", "1e2,3", "1/0,1", "", "O")
+#: (curve, point) with the point on the curve
+_ON_CURVE = (("0,0,1,-1,0", "0,0"), ("0,0,1,-1,0", "-1,-1"), ("0,0,1,-1,0", "-1,0"),
+             ("0,0,1/8,-1/16,0", "1/4,0"), ("0,0,0,0,1", "2,3"), ("0,0,0,0,1", "-1,0"))
+_PRIMES = ("2", "3", "5", "7", "11", "13", "4", "-5", "1e1", "")
+_N_MAX = ("0", "1", "40", "200", "201", "2e2", "")
+_INTS = ("-2", "0", "1", "2", "3", "13", "1e1", "x")
+
+
+def _option(name, values):
+    # left out as often as any one value is drawn
+    return st.sampled_from((None, *values)).map(lambda v: () if v is None else (name, v))
+
+
+def _options(*options):
+    return st.tuples(*(_option(name, values) for name, values in options)).map(
+        lambda drawn: [token for option in drawn for token in option])
+
+
+@st.composite
+def _argv(draw, corpora):
+    """One gcval command line.  Half the draws that take a curve put a valid
+    one (and a point on it) first.  formal-group always gets an --order of
+    at most 30: the default p^2 + 1 takes about 16 s at p = 11.  verify
+    always gets a --corpus path that is not empty: an empty or absent one
+    reads the bundled corpus, which takes 1 s at --n-max 200."""
+    command = draw(st.sampled_from(
+        ("profile", "kval", "psi", "formal-group", "seq", "verify")))
+    prime, n_max = ("--prime", _PRIMES), ("--n-max", _N_MAX)
+    rest = []
+    if command not in ("seq", "verify"):
+        point = command != "formal-group"
+        if draw(st.booleans()):
+            curve, pt = draw(st.sampled_from(_ON_CURVE))
+            rest = ["--curve", curve] + (["--point", pt] if point else [])
+        else:
+            rest = draw(_options(("--curve", _CURVES),
+                                 *([("--point", _POINTS)] if point else [])))
+    if command == "kval":
+        rest += draw(_options(prime, n_max, ("--mode", ("formula", "direct", "both", "all"))))
+    elif command == "psi":
+        rest += draw(_options(prime, n_max))
+    elif command == "profile":
+        rest += draw(_options(prime))
+    elif command == "formal-group":
+        rest += draw(_options(prime, ("--m", _INTS)))
+        rest += ["--order", draw(st.sampled_from(("-1", "0", "1", "7", "30", "x")))]
+    elif command == "seq":
+        for name, arity in draw(st.lists(st.sampled_from((("--rn", 3), ("--sn", 7))),
+                                         max_size=2)):
+            rest += [name, *draw(st.lists(st.sampled_from(_INTS[:6]),
+                                          min_size=arity, max_size=arity))]
+    else:
+        rest = draw(_options(n_max)) + ["--corpus", draw(st.sampled_from(corpora))]
+    return [command, *rest]
+
+
+def test_generated_argv_keeps_the_failure_contract(tmp_path, capsys):
+    # only verify and kval --mode both (the default) exit 1, and nothing
+    # exits 4; a failure writes one error: line and no stdout, except for
+    # argparse's usage block and verify's report; no output holds a traceback
+    line = '{"label": "e", "a": %s, "point": %s, "prime": %d%s}\n'
+    corpora = {"ok": line % ('["0","0","1","-1","0"]', '["0","0"]', 2, ""),
+               "pin": line % ('["0","0","1","-1","0"]', '["0","0"]', 2, ', "expect": {"cv": 9}'),
+               "torsion": line % ('["0","0","0","0","1"]', '["2","3"]', 5, ""),
+               "malformed": "not json\n"}
+    paths = [str(tmp_path), str(tmp_path / "missing.jsonl")]
+    for name, text in corpora.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths.append(str(tmp_path / name))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_argv(paths))
+    def check(argv):
+        try:
+            code, usage = main(argv), False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err, argv
+        assert code in (0, 1, 2, 3), argv
+        if code == 1:
+            assert argv[0] == "verify" or (
+                argv[0] == "kval" and "formula" not in argv and "direct" not in argv), argv
+        if code == 0:
+            assert err == "", argv
+        elif usage:
+            assert code == 2 and out == "" and err.startswith("usage: gcval"), argv
+            assert ": error: " in err.splitlines()[-1], argv
+        elif argv[0] == "verify" and out:
+            assert err == "" and json.loads(out)["summary"]["exitCode"] == code, argv
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+
+    check()

@@ -15,7 +15,7 @@ from gcval.curve_core import (
     add,
     apply_change,
     assert_infinite_order,
-    integralize_at,
+    integralize_point_at,
     map_point,
     mul,
     multiples,
@@ -210,11 +210,15 @@ def test_torsion_guard():
 
 def test_integralize_at():
     model = WeierstrassModel(0, 0, 0, Fraction(1, 25), Fraction(2, 125))
-    fixed, change = integralize_at(model, 5)
+    fixed, none = integralize_point_at(model, None, 5)
+    assert none is None
     assert all(v.denominator % 5 != 0 for v in fixed.coefficients())
-    assert change.u == Fraction(1, 5)
-    again, change2 = integralize_at(fixed, 5)
-    assert again == fixed and change2.is_identity()
+    assert fixed == apply_change(model, CoordinateChange(u=Fraction(1, 5)))
+    assert integralize_point_at(fixed, None, 5) == (fixed, None)
+    # 37a scaled by u = 2, with (1, 0) mapped along, comes back whole
+    scaled = apply_change(E37, CoordinateChange(u=2))
+    assert scaled == WeierstrassModel(0, 0, Fraction(1, 8), Fraction(-1, 16), 0)
+    assert integralize_point_at(scaled, Point(Fraction(1, 4), 0), 2) == (E37, Point(1, 0))
 
 
 def test_o_is_not_a_point():

@@ -6,7 +6,6 @@ from gcval.curve_core import Point, WeierstrassModel, mul
 from gcval.errors import InputError, InternalError
 from gcval.exact_numbers import val
 from gcval.formal_group import (
-    StaircaseParams,
     TruncatedSeries,
     curve_w_series,
     formal_add,
@@ -151,10 +150,10 @@ def test_staircase_params_no_equality():
 
 
 def test_staircase_validation():
-    with pytest.raises(InternalError):
-        StaircaseParams(b=3, e=1, h=0, j=0, s=1, w=0).validate(2)
-    with pytest.raises(InternalError):
-        StaircaseParams(b=1, e=1, h=1, j=0, s=1, w=0).validate(2)
+    # b must be 1 or a positive multiple of p; B = 1 with H = 1 is refused
+    # by gcval seq --sn (tests/test_cli.py)
+    with pytest.raises(InternalError, match="b = 3 is neither 1 nor"):
+        staircase_params(E37, Point(Fraction(1, 4), Fraction(-5, 8)), 2, b=3)
 
 
 def test_bad_inputs():
